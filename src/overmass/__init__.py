@@ -3,7 +3,8 @@
 Frames and focal sets live in :mod:`overmass.frame`, mass functions and
 their diagnostics in :mod:`overmass.mass`, combination rules in
 :mod:`overmass.rules`, dispatch advisories in :mod:`overmass.regime`, and
-the document format plus CLI in :mod:`overmass.cli`.
+the document format plus CLI in :mod:`overmass.cli`, which importing this
+package does not load.
 """
 
 from .errors import EvidenceError, ParseError, RuleGuardError, ValidationError
@@ -39,14 +40,10 @@ from .mass import (
     union_of_ranges,
 )
 from .rules import (
-    ORDER_NORMALIZE_FIRST,
-    ORDER_REDISTRIBUTE_FIRST,
-    ORDERS,
     FusionReport,
     RuleId,
     TraceRecord,
     average,
-    conflict_mass,
     conjunctive,
     dempster,
     fuse,
@@ -60,21 +57,6 @@ from .regime import (
     AdvisoryKind,
     assess,
     assess_fusion,
-)
-from .cli import (
-    GoldenExample,
-    GoldenRow,
-    PipelineSpec,
-    ScenarioDocument,
-    Source,
-    load_document,
-    main,
-    paper_examples,
-    render_csv,
-    render_document,
-    render_table,
-    run_golden_examples,
-    run_pipeline,
 )
 
 __version__ = "0.1.0"
@@ -90,23 +72,15 @@ __all__ = [
     "FocalSet",
     "Frame",
     "FusionReport",
-    "GoldenExample",
-    "GoldenRow",
     "MAX_FRAME_SIZE",
     "MassFunction",
     "MassRange",
-    "ORDERS",
-    "ORDER_NORMALIZE_FIRST",
-    "ORDER_REDISTRIBUTE_FIRST",
     "ParseError",
-    "PipelineSpec",
     "RangeClass",
     "RuleGuardError",
     "RuleId",
     "SEPARATOR",
     "SUM_EPSILON",
-    "ScenarioDocument",
-    "Source",
     "SumClass",
     "TraceRecord",
     "ValidationError",
@@ -119,27 +93,18 @@ __all__ = [
     "best_singleton",
     "classify_range",
     "classify_sum",
-    "conflict_mass",
     "conjunctive",
     "dempster",
     "enumerate_powerset",
     "fuse",
     "intersect",
     "interval_union",
-    "load_document",
-    "main",
     "make_frame",
     "make_mass",
     "over_normalize",
-    "paper_examples",
     "parse_focal",
     "pcr5",
     "plausibility",
-    "render_csv",
-    "render_document",
-    "render_table",
-    "run_golden_examples",
-    "run_pipeline",
     "total_proportional",
     "unite",
     "union_of_ranges",

@@ -8,15 +8,15 @@ Documents are JSON:
         {"name": "m1", "range": [0, 1.1],
          "masses": {"A": 0.6, "B": 0.3, "A|B": 0.2}}
       ],
-      "pipeline": {"rule": "pcr5", "order": "redistribute-first",
-                   "strict": true}
+      "pipeline": {"rule": "pcr5", "strict": true}
     }
 
 The pipeline record is optional, as is each field in it; the optional
 "target" field is a [lo, hi] pair and "normalize" (default true) controls
-whether the final rescaling stage runs. Exit codes: 0 success,
-1 validation error, 2 parse error, 3 rule guard violation, 4 golden
-comparison mismatch.
+whether the final rescaling stage runs. "order" is still accepted from
+older documents, but both of its values run the same pipeline. Exit
+codes: 0 success, 1 validation error, 2 parse error, 3 rule guard
+violation, 4 golden comparison mismatch.
 """
 
 from __future__ import annotations
@@ -40,14 +40,12 @@ from .mass import (
     union_of_ranges,
 )
 from .regime import assess
-from .rules import (
-    ORDER_REDISTRIBUTE_FIRST,
-    ORDERS,
-    FusionReport,
-    RuleId,
-    average,
-    fuse,
-)
+from .rules import FusionReport, RuleId, average, fuse
+
+#: Stage orders that older documents and scripts may name. Redistributing
+#: and rescaling both scale every weight uniformly, so one pipeline serves
+#: both and the value is validated, then ignored.
+ORDERS = ("normalize-first", "redistribute-first")
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class PipelineSpec:
     """How a document wants its sources combined."""
 
     rule: RuleId = RuleId.PCR5
-    order: str = ORDER_REDISTRIBUTE_FIRST
     target: MassRange | None = None
     strict: bool = False
     normalize: bool = True
@@ -101,12 +98,10 @@ def _parse_pipeline(raw: Any) -> PipelineSpec:
                 "unknown rule %r; choose from %s"
                 % (raw["rule"], ", ".join(r.value for r in RuleId))
             ) from None
-    if "order" in raw:
-        if raw["order"] not in ORDERS:
-            raise ParseError(
-                "unknown order %r; choose from %s" % (raw["order"], ", ".join(ORDERS))
-            )
-        spec = replace(spec, order=raw["order"])
+    if "order" in raw and raw["order"] not in ORDERS:
+        raise ParseError(
+            "unknown order %r; choose from %s" % (raw["order"], ", ".join(ORDERS))
+        )
     if raw.get("target") is not None:
         spec = replace(spec, target=_parse_range(raw["target"], "pipeline target"))
     for flag in ("strict", "normalize"):
@@ -126,7 +121,8 @@ def load_document(data: bytes | str) -> ScenarioDocument:
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
-        raw = json.loads(text)
+        # Integers parse as floats, so a huge one becomes inf and is rejected.
+        raw = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ParseError(
             "invalid JSON at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
@@ -171,7 +167,6 @@ def render_document(doc: ScenarioDocument) -> str:
     """Serialize a document back to JSON; load_document inverts this."""
     pipeline: dict[str, Any] = {
         "rule": doc.pipeline.rule.value,
-        "order": doc.pipeline.order,
         "strict": doc.pipeline.strict,
         "normalize": doc.pipeline.normalize,
     }
@@ -195,10 +190,11 @@ def render_document(doc: ScenarioDocument) -> str:
 def run_pipeline(doc: ScenarioDocument) -> FusionReport:
     """Combine the document's sources with its declared pipeline.
 
-    Sources are folded left to right. Normalization, when enabled, runs
-    once on the final pair so the target range applies to the end result;
-    the average rule takes all sources in a single call instead of
-    folding, since the mean of means is not the mean.
+    Sources are folded left to right; pcr5 is not associative, so its fold
+    over three or more sources depends on their order. Normalization, when
+    enabled, runs once on the final pair so the target range applies to
+    the end result; the average rule takes all sources in a single call
+    instead of folding, since the mean of means is not the mean.
     """
     if len(doc.sources) < 2:
         raise ValidationError(
@@ -219,7 +215,6 @@ def run_pipeline(doc: ScenarioDocument) -> FusionReport:
             spec.rule,
             target=target,
             normalize=spec.normalize and i == final,
-            order=spec.order,
         )
         acc = report.result
     assert report is not None
@@ -254,154 +249,100 @@ def render_csv(report: FusionReport, precision: int = 3) -> str:
     return ",".join(headers) + "\n" + ",".join(cells)
 
 
-@dataclass(frozen=True)
-class GoldenRow:
-    """One published value next to its recomputation."""
-
-    label: str
-    expected: float
-    computed: float
-    tolerance: float
-
-    @property
-    def delta(self) -> float:
-        return abs(self.computed - self.expected)
-
-    @property
-    def ok(self) -> bool:
-        return self.delta <= self.tolerance
-
-
-@dataclass(frozen=True)
-class GoldenExample:
-    name: str
-    rows: tuple[GoldenRow, ...]
-
-
-def _golden_shared_scale() -> GoldenExample:
-    # Two sources on one widened scale; rescale first, then spread the
-    # conflict over every focal set pro rata. Published values are rounded
-    # at each intermediate step, hence the loose tolerance.
-    frame = make_frame(["A", "B"])
-    scale = MassRange(0.0, 1.1)
-    m1 = make_mass(frame, {"A": 0.6, "B": 0.3, "A|B": 0.2}, scale, strict=True)
-    m2 = make_mass(frame, {"A": 0.5, "B": 0.5, "A|B": 0.1}, scale, strict=True)
-    report = fuse(
-        m1, m2, RuleId.TOTAL_PROPORTIONAL, order="normalize-first", normalize=True
-    )
-    result = report.result
-    return GoldenExample(
+#: The bundled worked examples: a title, the rule, two strict sources as
+#: (range, weights), and rows of (label, published value, tolerance). A row
+#: label names a focal set of the fused result, "total", "conflict", or a
+#: Bel(...)/Pl(...) query on it; "raw " prefixes the same on the plain
+#: conjunctive combination. Loose tolerances mark published values that
+#: were rounded at each intermediate step. Titles name the published stage
+#: order; both orders give the same numbers (see ORDERS).
+GOLDEN_EXAMPLES = (
+    (
         "promotion, shared scale (total-proportional, normalize first)",
-        (
-            GoldenRow("A", 0.67, result["A"], 0.01),
-            GoldenRow("B", 0.40, result["B"], 0.01),
-            GoldenRow("A|B", 0.03, result["A|B"], 0.01),
-            GoldenRow("total", 1.1, result.total, 1e-9),
-        ),
-    )
-
-
-def _golden_mixed_scales() -> GoldenExample:
-    # Sources declared on different scales; pairwise redistribution, then
-    # rescale to the wider of the two.
-    frame = make_frame(["A", "B"])
-    m1 = make_mass(frame, {"A": 0.7, "B": 0.3, "A|B": 0.1}, MassRange(0.0, 1.1), strict=True)
-    m2 = make_mass(frame, {"A": 0.4, "B": 0.6, "A|B": 0.2}, MassRange(0.0, 1.2), strict=True)
-    report = fuse(m1, m2, RuleId.PCR5, target=MassRange(0.0, 1.2))
-    result = report.result
-    return GoldenExample(
+        RuleId.TOTAL_PROPORTIONAL,
+        ((0.0, 1.1), {"A": 0.6, "B": 0.3, "A|B": 0.2}),
+        ((0.0, 1.1), {"A": 0.5, "B": 0.5, "A|B": 0.1}),
+        (("A", 0.67, 0.01), ("B", 0.40, 0.01), ("A|B", 0.03, 0.01), ("total", 1.1, 1e-9)),
+    ),
+    (
         "promotion, mixed scales (pcr5, rescaled to [0, 1.2])",
-        (
-            GoldenRow("A", 0.686, result["A"], 0.001),
-            GoldenRow("B", 0.496, result["B"], 0.001),
-            GoldenRow("A|B", 0.018, result["A|B"], 0.001),
-            GoldenRow("total", 1.2, result.total, 1e-9),
-        ),
-    )
-
-
-def _golden_counter_evidence() -> GoldenExample:
-    # Negative weights: averaging is the only permitted combination.
-    frame = make_frame(["A", "B"])
-    under = MassRange(-0.2, 1.0)
-    m1 = make_mass(frame, {"A": -0.2, "B": 0.7, "A|B": 0.3}, under, strict=True)
-    m2 = make_mass(frame, {"A": 0.4, "B": -0.1, "A|B": 0.5}, under, strict=True)
-    report = average((m1, m2))
-    result = report.result
-    return GoldenExample(
+        RuleId.PCR5,
+        ((0.0, 1.1), {"A": 0.7, "B": 0.3, "A|B": 0.1}),
+        ((0.0, 1.2), {"A": 0.4, "B": 0.6, "A|B": 0.2}),
+        (("A", 0.686, 0.001), ("B", 0.496, 0.001), ("A|B", 0.018, 0.001), ("total", 1.2, 1e-9)),
+    ),
+    (
         "counter-evidence averaging",
-        (
-            GoldenRow("A", 0.1, result["A"], 1e-9),
-            GoldenRow("B", 0.3, result["B"], 1e-9),
-            GoldenRow("A|B", 0.4, result["A|B"], 1e-9),
-            GoldenRow("conflict", 0.0, report.conflict, 1e-9),
-        ),
-    )
-
-
-def _golden_belief_bounds() -> GoldenExample:
-    # Redistribute-then-rescale pipeline, checked through to the belief
-    # and plausibility of the fused result.
-    frame = make_frame(["A", "B"])
-    scale = MassRange(0.0, 1.1)
-    m1 = make_mass(frame, {"A": 0.3, "B": 0.6, "A|B": 0.2}, scale, strict=True)
-    m2 = make_mass(frame, {"A": 0.5, "B": 0.5, "A|B": 0.1}, scale, strict=True)
-    raw = fuse(m1, m2, RuleId.CONJUNCTIVE)
-    report = fuse(m1, m2, RuleId.PCR5)
-    result = report.result
-    interval = belief_interval(result, parse_focal("A", frame))
-    full = belief_interval(result, parse_focal("A|B", frame))
-    return GoldenExample(
+        RuleId.AVERAGE,
+        ((-0.2, 1.0), {"A": -0.2, "B": 0.7, "A|B": 0.3}),
+        ((-0.2, 1.0), {"A": 0.4, "B": -0.1, "A|B": 0.5}),
+        (("A", 0.1, 1e-9), ("B", 0.3, 1e-9), ("A|B", 0.4, 1e-9), ("conflict", 0.0, 1e-9)),
+    ),
+    (
         "belief bounds after redistribution (pcr5, rescaled to [0, 1.1])",
+        RuleId.PCR5,
+        ((0.0, 1.1), {"A": 0.3, "B": 0.6, "A|B": 0.2}),
+        ((0.0, 1.1), {"A": 0.5, "B": 0.5, "A|B": 0.1}),
         (
-            GoldenRow("raw A", 0.28, raw.result["A"], 1e-9),
-            GoldenRow("raw B", 0.46, raw.result["B"], 1e-9),
-            GoldenRow("raw A|B", 0.02, raw.result["A|B"], 1e-9),
-            GoldenRow("raw conflict", 0.45, raw.conflict, 1e-9),
-            GoldenRow("A", 0.44, result["A"], 0.02),
-            GoldenRow("B", 0.64, result["B"], 0.02),
-            GoldenRow("A|B", 0.02, result["A|B"], 0.02),
-            GoldenRow("Bel(A)", 0.44, interval.bel, 0.02),
-            GoldenRow("Pl(A)", 0.46, interval.pl, 0.02),
-            GoldenRow("Bel(A|B)", 1.1, full.bel, 1e-6),
+            ("raw A", 0.28, 1e-9),
+            ("raw B", 0.46, 1e-9),
+            ("raw A|B", 0.02, 1e-9),
+            ("raw conflict", 0.45, 1e-9),
+            ("A", 0.44, 0.02),
+            ("B", 0.64, 0.02),
+            ("A|B", 0.02, 0.02),
+            ("Bel(A)", 0.44, 0.02),
+            ("Pl(A)", 0.46, 0.02),
+            ("Bel(A|B)", 1.1, 1e-6),
         ),
-    )
+    ),
+)
+
+
+def _golden_value(report: FusionReport, label: str) -> float:
+    result = report.result
+    if label == "total":
+        return result.total
+    if label == "conflict":
+        return report.conflict
+    if label.endswith(")"):
+        query, expr = label[:-1].split("(")
+        interval = belief_interval(result, parse_focal(expr, result.frame))
+        return interval.bel if query == "Bel" else interval.pl
+    return result[label]
 
 
 def run_golden_examples() -> tuple[str, bool]:
-    """Recompute the four bundled worked examples against published values."""
-    examples = (
-        _golden_shared_scale(),
-        _golden_mixed_scales(),
-        _golden_counter_evidence(),
-        _golden_belief_bounds(),
-    )
+    """Recompute the bundled worked examples against published values."""
+    frame = make_frame(["A", "B"])
     lines: list[str] = []
     all_ok = True
-    for example in examples:
-        lines.append(example.name)
-        for row in example.rows:
-            all_ok = all_ok and row.ok
+    for name, rule, *sources, rows in GOLDEN_EXAMPLES:
+        m1, m2 = (make_mass(frame, w, MassRange(*r), strict=True) for r, w in sources)
+        fused = fuse(m1, m2, rule)
+        lines.append(name)
+        for label, expected, tolerance in rows:
+            if label.startswith("raw "):
+                computed = _golden_value(fuse(m1, m2, RuleId.CONJUNCTIVE), label[4:])
+            else:
+                computed = _golden_value(fused, label)
+            delta = abs(computed - expected)
+            all_ok = all_ok and delta <= tolerance
             lines.append(
                 "  %-14s published %-8s computed %-13s |delta| %.3e (tol %g) %s"
                 % (
-                    row.label,
-                    "%g" % row.expected,
-                    "%.9f" % row.computed,
-                    row.delta,
-                    row.tolerance,
-                    "ok" if row.ok else "MISMATCH",
+                    label,
+                    "%g" % expected,
+                    "%.9f" % computed,
+                    delta,
+                    tolerance,
+                    "ok" if delta <= tolerance else "MISMATCH",
                 )
             )
     lines.append(
         "all comparisons within tolerance" if all_ok else "comparison failures above"
     )
     return "\n".join(lines), all_ok
-
-
-def paper_examples() -> str:
-    """Text of the golden comparisons; see run_golden_examples for the verdict."""
-    return run_golden_examples()[0]
 
 
 def _read_document(path: Path) -> ScenarioDocument:
@@ -428,8 +369,6 @@ def _effective_document(doc: ScenarioDocument, args: argparse.Namespace) -> Scen
     pipeline = doc.pipeline
     if args.rule is not None:
         pipeline = replace(pipeline, rule=RuleId(args.rule))
-    if args.order is not None:
-        pipeline = replace(pipeline, order=args.order)
     if args.target is not None:
         pipeline = replace(pipeline, target=_parse_target_flag(args.target))
     if args.no_normalize:
@@ -495,6 +434,13 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     return 0 if ok else 4
 
 
+def _precision(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("precision must be >= 0, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overmass",
@@ -507,9 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     fuse_p.add_argument(
         "--rule", choices=[r.value for r in RuleId], help="override the document's rule"
     )
-    fuse_p.add_argument("--order", choices=list(ORDERS), help="override the stage order")
+    fuse_p.add_argument("--order", choices=ORDERS, help="accepted for older scripts; ignored")
     fuse_p.add_argument("--target", metavar="LO,HI", help="override the normalization range")
-    fuse_p.add_argument("--precision", type=int, default=3, help="decimals in tables (default 3)")
+    fuse_p.add_argument(
+        "--precision", type=_precision, default=3, help="decimals in tables (default 3)"
+    )
     fuse_p.add_argument("--format", choices=["table", "csv"], default="table")
     fuse_p.add_argument(
         "--no-normalize", action="store_true", help="skip the final rescaling stage"
@@ -527,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     belpl_p.add_argument("--input", type=Path, required=True)
     belpl_p.add_argument("--set", dest="set_expr", required=True, help='focal expression, e.g. "A|B"')
-    belpl_p.add_argument("--precision", type=int, default=6)
+    belpl_p.add_argument("--precision", type=_precision, default=6)
     belpl_p.set_defaults(func=_cmd_belpl)
 
     golden_p = sub.add_parser(

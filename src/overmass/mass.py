@@ -9,9 +9,9 @@ declared interval yet deficient by its total, and both facts are reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from math import fsum
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -21,6 +21,14 @@ from .frame import FocalSet, Frame, parse_focal
 #: Tolerance for sum checks; coarse enough to absorb double rounding,
 #: tight enough to flag genuine violations of the declared total.
 SUM_EPSILON = 1e-9
+
+
+def checked_fsum(values: Iterable[float]) -> float:
+    """math.fsum, raising ValidationError when the sum overflows a float."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValidationError("weights sum beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -33,6 +41,8 @@ class MassRange:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValidationError("range bounds must be finite, got [%r, %r]" % (self.lo, self.hi))
         if self.lo > 0.0:
             raise ValidationError("range lower bound must be <= 0, got %r" % self.lo)
         if self.hi < 1.0:
@@ -90,10 +100,10 @@ class MassFunction:
     """Immutable assignment of real weights to focal sets of one frame.
 
     This container performs only structural checks (keys belong to the
-    frame); bound and sum validation for source masses lives in
-    :func:`make_mass`, so that combination rules can hold intermediate
-    results (e.g. raw conjunctive products carrying conflict on the empty
-    set) without artificial rejections.
+    frame, weights are finite); bound and sum validation for source masses
+    lives in :func:`make_mass`, so that combination rules can hold
+    intermediate results (e.g. raw conjunctive products carrying conflict
+    on the empty set) without artificial rejections.
 
     Entries are stored in ascending bitmask order, and an empty-set entry
     is kept only when its weight is nonzero.
@@ -112,6 +122,8 @@ class MassFunction:
         cleaned: dict[FocalSet, float] = {}
         for fs, w in sorted(self.weights.items(), key=lambda item: item[0].bits):
             w = float(w)
+            if not math.isfinite(w):
+                raise ValidationError("weight %r on %s is not finite" % (w, fs))
             if fs.is_empty and w == 0.0:
                 continue
             cleaned[fs] = w
@@ -125,12 +137,12 @@ class MassFunction:
     @property
     def total(self) -> float:
         """Sum of every stored weight, conflict bucket included."""
-        return fsum(self.weights.values())
+        return checked_fsum(self.weights.values())
 
     @property
     def focal_total(self) -> float:
         """Sum of weights on nonempty sets."""
-        return fsum(w for fs, w in self.weights.items() if not fs.is_empty)
+        return checked_fsum(w for fs, w in self.weights.items() if not fs.is_empty)
 
     @property
     def conflict_weight(self) -> float:
@@ -180,7 +192,7 @@ def make_mass(
             )
 
     if strict:
-        total = fsum(resolved.values())
+        total = checked_fsum(resolved.values())
         if abs(total - mass_range.total) > SUM_EPSILON:
             raise ValidationError(
                 "strict mass must sum to lo+hi = %r, got %r" % (mass_range.total, total)
@@ -224,13 +236,13 @@ def _require_query(m: MassFunction, a: FocalSet) -> None:
 def belief(m: MassFunction, a: FocalSet) -> float:
     """Total weight of nonempty focal sets contained in ``a``."""
     _require_query(m, a)
-    return fsum(w for fs, w in m.weights.items() if not fs.is_empty and fs.issubset(a))
+    return checked_fsum(w for fs, w in m.weights.items() if not fs.is_empty and fs.issubset(a))
 
 
 def plausibility(m: MassFunction, a: FocalSet) -> float:
     """Total weight of focal sets intersecting ``a``."""
     _require_query(m, a)
-    return fsum(w for fs, w in m.weights.items() if fs.intersects(a))
+    return checked_fsum(w for fs, w in m.weights.items() if fs.intersects(a))
 
 
 def belief_interval(m: MassFunction, a: FocalSet) -> BeliefInterval:

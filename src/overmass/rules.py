@@ -6,16 +6,16 @@ normalization divisor). Rules are pure functions over immutable inputs,
 and iteration follows ascending bitmask order, so identical inputs yield
 bit-identical reports.
 
-Guard summary: conjunctive, dempster, and pcr5 reject negative weights
-(only the average rule combines counter-evidence); dempster additionally
-requires classical inputs and defined (non-total) conflict.
+Guard summary: every rule but average rejects negative weights (only the
+average rule combines counter-evidence); dempster additionally requires
+classical inputs and defined (non-total) conflict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import fsum
+from math import inf
 from typing import Sequence
 
 from .errors import RuleGuardError, ValidationError
@@ -27,19 +27,12 @@ from .mass import (
     MassRange,
     RangeClass,
     SumClass,
+    checked_fsum,
     classify_range,
     classify_sum,
     interval_union,
     union_of_ranges,
 )
-
-#: Pipeline stage orders for rules that both redistribute conflict and
-#: rescale. The two orders agree in exact arithmetic (both stages scale
-#: every weight uniformly); supporting both keeps reports auditable
-#: against published tables computed either way.
-ORDER_NORMALIZE_FIRST = "normalize-first"
-ORDER_REDISTRIBUTE_FIRST = "redistribute-first"
-ORDERS = (ORDER_NORMALIZE_FIRST, ORDER_REDISTRIBUTE_FIRST)
 
 
 class RuleId(Enum):
@@ -83,15 +76,13 @@ class FusionReport:
     skipped_fractions: int = 0
 
 
-def _check_pair(m1: MassFunction, m2: MassFunction, rule: RuleId) -> None:
+def _check_pair(m1: MassFunction, m2: MassFunction) -> None:
     if m1.frame != m2.frame:
         raise ValidationError("cannot combine masses over different frames")
-    for m in (m1, m2):
-        if m.has_negative:
-            raise RuleGuardError(
-                "%s rejects negative weights; use the average rule for counter-evidence"
-                % rule.value
-            )
+    if m1.has_negative or m2.has_negative:
+        raise RuleGuardError(
+            "negative weights present; only the average rule combines counter-evidence"
+        )
 
 
 def _products(
@@ -106,7 +97,7 @@ def _products(
             p = w1 * w2
             buckets.setdefault(landing, []).append(p)
             trace.append(TraceRecord(x, y, p, landing))
-    weights = {fs: fsum(parts) for fs, parts in buckets.items()}
+    weights = {fs: checked_fsum(parts) for fs, parts in buckets.items()}
     conflict = weights.get(m1.frame.empty_set(), 0.0)
     return weights, tuple(trace), conflict
 
@@ -119,19 +110,14 @@ def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
     pile is reported as the conflict. The grand total of the result
     equals the product of the input totals.
     """
-    _check_pair(m1, m2, RuleId.CONJUNCTIVE)
+    _check_pair(m1, m2)
     weights, trace, conflict = _products(m1, m2)
     result = MassFunction(m1.frame, weights, interval_union(m1.range, m2.range))
     return FusionReport(result, conflict, trace, 1.0, RuleId.CONJUNCTIVE)
 
 
-def conflict_mass(m1: MassFunction, m2: MassFunction) -> float:
-    """Total product weight falling on the empty set."""
-    _check_pair(m1, m2, RuleId.CONJUNCTIVE)
-    return _products(m1, m2)[2]
-
-
-def _dempster_report(m1: MassFunction, m2: MassFunction) -> FusionReport:
+def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
+    """Dempster's rule: conjunctive combination renormalized by 1 - k."""
     for position, m in (("first", m1), ("second", m2)):
         range_class = classify_range(m)
         sum_class = classify_sum(m)
@@ -156,11 +142,6 @@ def _dempster_report(m1: MassFunction, m2: MassFunction) -> FusionReport:
     return FusionReport(result, k, base.trace, scale, RuleId.DEMPSTER)
 
 
-def dempster(m1: MassFunction, m2: MassFunction) -> MassFunction:
-    """Dempster's rule: conjunctive combination renormalized by 1 - k."""
-    return _dempster_report(m1, m2).result
-
-
 def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
     """Conjunctive combination with per-product conflict redistribution.
 
@@ -170,7 +151,7 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
     zero and the grand total is conserved. Products whose proportional
     denominator is zero are discarded and counted.
     """
-    _check_pair(m1, m2, RuleId.PCR5)
+    _check_pair(m1, m2)
     for m in (m1, m2):
         if m.conflict_weight != 0.0:
             raise RuleGuardError(
@@ -198,7 +179,7 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
         (set(weights) | set(shares)) - {empty}, key=lambda fs: fs.bits
     )
     combined = {
-        fs: fsum([weights.get(fs, 0.0), *shares.get(fs, [])]) for fs in keys
+        fs: checked_fsum([weights.get(fs, 0.0), *shares.get(fs, [])]) for fs in keys
     }
     result = MassFunction(m1.frame, combined, interval_union(m1.range, m2.range))
     return FusionReport(result, conflict, trace, 1.0, RuleId.PCR5, skipped)
@@ -219,9 +200,9 @@ def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
         )
     grand = report.result.total
     divisor = grand / target.total
-    if divisor <= 0.0:
+    if not 0.0 < divisor < inf:
         raise RuleGuardError(
-            "grand total %r gives nonpositive normalization divisor %r"
+            "grand total %r gives normalization divisor %r, outside (0, inf)"
             % (grand, divisor)
         )
     weights = {fs: w / divisor for fs, w in report.result.weights.items()}
@@ -276,7 +257,7 @@ def average(masses: Sequence[MassFunction]) -> FusionReport:
     keys = sorted(
         {fs for m in pool for fs in m.focal_sets()}, key=lambda fs: fs.bits
     )
-    weights = {fs: fsum(m[fs] for m in pool) / len(pool) for fs in keys}
+    weights = {fs: checked_fsum(m[fs] for m in pool) / len(pool) for fs in keys}
     result = MassFunction(frame, weights, union_of_ranges(m.range for m in pool))
     return FusionReport(result, 0.0, (), 1.0, RuleId.AVERAGE)
 
@@ -288,39 +269,27 @@ def fuse(
     target: MassRange | None = None,
     *,
     normalize: bool = True,
-    order: str = ORDER_REDISTRIBUTE_FIRST,
 ) -> FusionReport:
-    """Dispatch to a combination rule with class guards.
+    """Combine, redistribute the conflict, then rescale onto target.
 
-    target defaults to the union of the input ranges and is used only by
-    the normalizing stage, which the normalize flag appends to the pcr5
-    and total-proportional rules. order picks whether total-proportional
-    rescales before or after redistributing; the two agree in exact
-    arithmetic and both are accepted so either published layout can be
-    reproduced step for step.
+    Redistribution is pcr5's per-product split, total-proportional's pro
+    rata spread, Dempster's renormalization, or none (conjunctive). The
+    normalize flag appends the rescaling stage to pcr5 and
+    total-proportional; target defaults to the union of the input ranges.
+    Average takes no stage: it is the mean of the two inputs.
     """
-    if order not in ORDERS:
-        raise ValidationError("unknown stage order %r; expected one of %r" % (order, ORDERS))
-    if target is None:
-        target = interval_union(m1.range, m2.range)
-    if (m1.has_negative or m2.has_negative) and rule is not RuleId.AVERAGE:
-        raise RuleGuardError(
-            "negative weights present; the average rule is the only one permitted "
-            "(requested %s)" % rule.value
-        )
     if rule is RuleId.AVERAGE:
         return average((m1, m2))
     if rule is RuleId.CONJUNCTIVE:
         return conjunctive(m1, m2)
     if rule is RuleId.DEMPSTER:
-        return _dempster_report(m1, m2)
+        return dempster(m1, m2)
     if rule is RuleId.PCR5:
         report = pcr5(m1, m2)
-        return over_normalize(report, target) if normalize else report
-    if rule is RuleId.TOTAL_PROPORTIONAL:
-        base = conjunctive(m1, m2)
-        if normalize and order == ORDER_NORMALIZE_FIRST:
-            return total_proportional(over_normalize(base, target))
-        report = total_proportional(base)
-        return over_normalize(report, target) if normalize else report
-    raise ValidationError("unknown rule %r" % rule)
+    elif rule is RuleId.TOTAL_PROPORTIONAL:
+        report = total_proportional(conjunctive(m1, m2))
+    else:
+        raise ValidationError("unknown rule %r" % rule)
+    if not normalize:
+        return report
+    return over_normalize(report, target or interval_union(m1.range, m2.range))

@@ -22,7 +22,6 @@ from overmass.mass import (
     plausibility,
 )
 from overmass.rules import (
-    ORDER_NORMALIZE_FIRST,
     RuleId,
     conjunctive,
     dempster,
@@ -92,9 +91,7 @@ class TestWorkedExamples:
         ):
             m1 = widened({"A": 0.6, "B": 0.3, "A|B": 0.2})
             m2 = widened({"A": 0.5, "B": 0.5, "A|B": 0.1})
-            report = fuse(
-                m1, m2, RuleId.TOTAL_PROPORTIONAL, order=ORDER_NORMALIZE_FIRST
-            )
+            report = fuse(m1, m2, RuleId.TOTAL_PROPORTIONAL)
             assert report.result["A"] == pytest.approx(0.67, abs=0.01)
             assert report.result["B"] == pytest.approx(0.40, abs=0.01)
             assert report.result["A|B"] == pytest.approx(0.03, abs=0.01)
@@ -176,7 +173,7 @@ class TestBulkInvariants:
                 c1 = _classicalize(m1)
                 c2 = _classicalize(m2)
                 if conjunctive(c1, c2).conflict < 1.0 - 1e-6:
-                    fused = dempster(c1, c2)
+                    fused = dempster(c1, c2).result
                     assert abs(fused.total - 1.0) <= 1e-9
                 else:
                     skipped_dempster += 1

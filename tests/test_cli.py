@@ -1,15 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import overmass
 from overmass.cli import (
+    ORDERS,
     PipelineSpec,
     ScenarioDocument,
     load_document,
     main,
-    paper_examples,
     render_csv,
     render_document,
     render_table,
@@ -18,7 +20,7 @@ from overmass.cli import (
 )
 from overmass.errors import ParseError, RuleGuardError, ValidationError
 from overmass.mass import MassRange
-from overmass.rules import ORDER_REDISTRIBUTE_FIRST, RuleId, fuse
+from overmass.rules import RuleId, fuse
 
 
 def doc_text(frame=("A", "B"), sources=None, pipeline=None):
@@ -45,6 +47,20 @@ NEGATIVE_SOURCES = [
     {"name": "u2", "range": [-0.2, 1], "masses": {"A": 0.4, "B": -0.1, "A|B": 0.5}},
 ]
 
+CLASSICAL_SOURCES = [
+    {"range": [0, 1], "masses": {"A": 0.5, "B": 0.3, "A|B": 0.2}},
+    {"range": [0, 1], "masses": {"A": 0.2, "B": 0.6, "A|B": 0.2}},
+    {"range": [0, 1], "masses": {"A": 0.6, "B": 0.1, "A|B": 0.3}},
+]
+
+
+def run_child(*args):
+    """This interpreter in a child process, importing the package under test."""
+    src = os.path.dirname(os.path.dirname(overmass.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
 
 class TestLoadDocument:
     def test_basic_document(self):
@@ -57,7 +73,6 @@ class TestLoadDocument:
     def test_defaults(self):
         doc = load_document(doc_text())
         assert doc.pipeline == PipelineSpec()
-        assert doc.pipeline.order == ORDER_REDISTRIBUTE_FIRST
         assert doc.pipeline.normalize is True
         assert doc.pipeline.target is None
         assert doc.pipeline.strict is False
@@ -185,6 +200,29 @@ class TestRunPipeline:
         assert report.result.total == pytest.approx(1.2, abs=1e-9)
         assert report.result.conflict_weight == 0.0
 
+    def test_named_order_renders_same_table(self):
+        plain = run_pipeline(load_document(doc_text(pipeline={"rule": "total-proportional"})))
+        for order in ORDERS:
+            named = load_document(
+                doc_text(pipeline={"rule": "total-proportional", "order": order})
+            )
+            for precision in (3, 17):
+                assert render_table(run_pipeline(named), precision) == render_table(
+                    plain, precision
+                )
+
+    def test_three_sources_fold_left(self):
+        for rule in (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.PCR5,
+                     RuleId.TOTAL_PROPORTIONAL):
+            doc = load_document(
+                doc_text(sources=CLASSICAL_SOURCES,
+                         pipeline={"rule": rule.value, "target": [0, 1.2]})
+            )
+            m1, m2, m3 = (s.mass for s in doc.sources)
+            target = MassRange(0, 1.2)
+            first = fuse(m1, m2, rule, target=target, normalize=False)
+            assert run_pipeline(doc) == fuse(first.result, m3, rule, target=target)
+
 
 class TestRendering:
     @pytest.fixture
@@ -223,7 +261,7 @@ class TestGoldenExamples:
         assert "MISMATCH" not in text
 
     def test_text_lists_all_four(self):
-        text = paper_examples()
+        text = run_golden_examples()[0]
         for name in (
             "promotion, shared scale",
             "promotion, mixed scales",
@@ -294,6 +332,42 @@ class TestMainExitCodes:
                      "--precision", "2"]) == 0
         out = capsys.readouterr().out
         assert "0.67" in out and "0.41" in out
+        assert main(["fuse", "--input", path, "--precision", "2"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_unknown_order_flag_rejected(self, tmp_path, capsys):
+        path = self.write(tmp_path, doc_text())
+        with pytest.raises(SystemExit) as exc:
+            main(["fuse", "--input", path, "--order", "sideways"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("rule", [r.value for r in RuleId])
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            # json accepts the Infinity token; an unbounded range must not pass.
+            (doc_text(sources=[{"range": [0, float("inf")], "masses": {"A": 0.6, "B": 0.3}},
+                               {"range": [0, float("inf")], "masses": {"A": 0.5, "B": 0.5}}]), []),
+            # Finite weights whose products and sums overflow a float.
+            (doc_text(sources=[{"range": [0, 1e308], "masses": {"A": 1e308, "B": 1e308}},
+                               {"range": [0, 1e308], "masses": {"A": 1e308, "B": 1e308}}]), []),
+            (doc_text(sources=[{"range": [0, 10**400], "masses": {"A": 0.6}},
+                               {"range": [0, 1], "masses": {"A": 0.5}}]), []),
+            (doc_text(), ["--precision", "-5"]),
+            (doc_text(), ["--target", "0,inf"]),
+        ],
+        ids=["infinite-range", "overflow", "huge-integer", "negative-precision", "infinite-target"],
+    )
+    def test_non_finite_input_fails_typed(self, tmp_path, capsys, text, flags, rule):
+        path = self.write(tmp_path, text)
+        try:
+            code = main(["fuse", "--input", path, "--rule", rule, *flags])
+        except SystemExit as exc:  # argparse rejects bad flags itself
+            code = exc.code
+        assert code in (1, 2, 3)
+        out = capsys.readouterr().out.lower()
+        assert "nan" not in out and "inf" not in out
 
     def test_classify_output(self, tmp_path, capsys):
         path = self.write(tmp_path, doc_text(sources=NEGATIVE_SOURCES))
@@ -339,18 +413,21 @@ class TestMainExitCodes:
 
 class TestEntryPoints:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "overmass", "paper-examples"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child("-m", "overmass", "paper-examples")
         assert proc.returncode == 0
         assert "all comparisons within tolerance" in proc.stdout
 
     def test_console_script_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "overmass", "--help"], capture_output=True, text=True
-        )
+        proc = run_child("-m", "overmass", "--help")
         assert proc.returncode == 0
         for command in ("fuse", "classify", "belpl", "paper-examples"):
             assert command in proc.stdout
+
+    def test_library_import_leaves_cli_unloaded(self):
+        proc = run_child(
+            "-c",
+            "import sys, overmass; "
+            "print(sorted({'argparse', 'json', 'overmass.cli'} & set(sys.modules)))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

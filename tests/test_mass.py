@@ -39,6 +39,11 @@ class TestMassRange:
         with pytest.raises(ValidationError):
             MassRange(0.0, 0.9)
 
+    def test_bounds_must_be_finite(self):
+        for lo, hi in ((0.0, float("inf")), (float("-inf"), 1.0), (float("nan"), float("nan"))):
+            with pytest.raises(ValidationError):
+                MassRange(lo, hi)
+
     def test_contains(self):
         r = MassRange(-0.1, 1.2)
         assert r.contains(-0.1) and r.contains(1.2) and r.contains(0.5)
@@ -127,6 +132,16 @@ class TestMassFunction:
         assert m.conflict_weight == 0.45
         assert m.focal_total == pytest.approx(0.55)
         assert m.total == pytest.approx(1.0)
+
+    def test_non_finite_weight_rejected(self, ab):
+        for w in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError):
+                MassFunction(ab, {ab.singleton("A"): w}, CLASSICAL_RANGE)
+
+    def test_overflowing_total_is_a_validation_error(self, ab):
+        m = MassFunction(ab, {ab.singleton("A"): 1e308, ab.singleton("B"): 1e308}, CLASSICAL_RANGE)
+        with pytest.raises(ValidationError):
+            m.total
 
     def test_foreign_frame_key_rejected(self, ab):
         other = make_frame(["A", "C"])

@@ -9,7 +9,6 @@ from overmass.regime import (
     assess_fusion,
 )
 from overmass.rules import (
-    ORDER_NORMALIZE_FIRST,
     RuleId,
     average,
     conjunctive,
@@ -103,7 +102,7 @@ class TestAssessFusion:
     def test_widened_pipeline_reports_conflict(self, ab):
         m1 = make_mass(ab, {"A": 0.6, "B": 0.3, "A|B": 0.2}, MassRange(0, 1.1), strict=True)
         m2 = make_mass(ab, {"A": 0.5, "B": 0.5, "A|B": 0.1}, MassRange(0, 1.1), strict=True)
-        report = fuse(m1, m2, rule=RuleId.TOTAL_PROPORTIONAL, order=ORDER_NORMALIZE_FIRST)
+        report = fuse(m1, m2, rule=RuleId.TOTAL_PROPORTIONAL)
         advisory = assess_fusion(report)
         assert advisory.kind is AdvisoryKind.CRITICAL_PRIORITY
         assert "0.409" in advisory.rationale

@@ -12,12 +12,9 @@ from overmass.mass import (
     make_mass,
 )
 from overmass.rules import (
-    ORDER_NORMALIZE_FIRST,
-    ORDER_REDISTRIBUTE_FIRST,
     FusionReport,
     RuleId,
     average,
-    conflict_mass,
     conjunctive,
     dempster,
     fuse,
@@ -127,24 +124,24 @@ class TestConjunctive:
 
 class TestConflictMass:
     def test_values(self, shared_pair, mixed_pair):
-        assert conflict_mass(*shared_pair) == pytest.approx(0.45, abs=1e-9)
-        assert conflict_mass(*mixed_pair) == pytest.approx(0.54, abs=1e-9)
+        assert conjunctive(*shared_pair).conflict == pytest.approx(0.45, abs=1e-9)
+        assert conjunctive(*mixed_pair).conflict == pytest.approx(0.54, abs=1e-9)
 
     def test_nested_sources_have_none(self, ab):
         m1 = make_mass(ab, {"A": 0.6, "A|B": 0.4}, CLASSICAL_RANGE, strict=True)
         m2 = make_mass(ab, {"A": 0.2, "A|B": 0.8}, CLASSICAL_RANGE, strict=True)
-        assert conflict_mass(m1, m2) == 0.0
+        assert conjunctive(m1, m2).conflict == 0.0
 
 
 class TestDempster:
     def test_agreement_fixed_point(self, ab):
         m = make_mass(ab, {"A": 1.0}, CLASSICAL_RANGE, strict=True)
-        assert dempster(m, m)["A"] == pytest.approx(1.0)
+        assert dempster(m, m).result["A"] == pytest.approx(1.0)
 
     def test_derived_pair(self, ab):
         m1 = make_mass(ab, {"A": 0.6, "A|B": 0.4}, CLASSICAL_RANGE, strict=True)
         m2 = make_mass(ab, {"B": 0.7, "A|B": 0.3}, CLASSICAL_RANGE, strict=True)
-        out = dempster(m1, m2)
+        out = dempster(m1, m2).result
         assert out["A"] == pytest.approx(0.3103, abs=1e-4)
         assert out["B"] == pytest.approx(0.4828, abs=1e-4)
         assert out["A|B"] == pytest.approx(0.2069, abs=1e-4)
@@ -155,7 +152,7 @@ class TestDempster:
         frame = make_frame(["A", "B", "C"])
         m1 = make_mass(frame, {"A": 0.9, "C": 0.1}, CLASSICAL_RANGE, strict=True)
         m2 = make_mass(frame, {"B": 0.9, "C": 0.1}, CLASSICAL_RANGE, strict=True)
-        assert dempster(m1, m2)["C"] == pytest.approx(1.0, abs=1e-9)
+        assert dempster(m1, m2).result["C"] == pytest.approx(1.0, abs=1e-9)
 
     def test_total_conflict_undefined(self, ab):
         m1 = make_mass(ab, {"A": 1.0}, CLASSICAL_RANGE, strict=True)
@@ -400,6 +397,9 @@ class TestFuseDispatcher:
             with pytest.raises(RuleGuardError) as err:
                 fuse(neg, ok, rule=rule)
             assert "average" in str(err.value)
+            if rule is not RuleId.DEMPSTER:
+                # The pair check every product rule shares names only the way out.
+                assert [r.value for r in RuleId if r.value in str(err.value)] == ["average"]
         assert fuse(neg, ok, rule=RuleId.AVERAGE).rule is RuleId.AVERAGE
 
     def test_dempster_route(self, ab):
@@ -418,17 +418,6 @@ class TestFuseDispatcher:
     def test_normalize_off_keeps_raw_totals(self, mixed_pair):
         report = fuse(*mixed_pair, rule=RuleId.PCR5, normalize=False)
         assert report.result.total == pytest.approx(1.32, abs=1e-9)
-
-    def test_orders_agree_numerically(self, shared_pair):
-        nf = fuse(*shared_pair, rule=RuleId.TOTAL_PROPORTIONAL, order=ORDER_NORMALIZE_FIRST)
-        rf = fuse(*shared_pair, rule=RuleId.TOTAL_PROPORTIONAL, order=ORDER_REDISTRIBUTE_FIRST)
-        for fs in nf.result.focal_sets():
-            assert rf.result[fs] == pytest.approx(nf.result[fs], abs=1e-12)
-        assert nf.conflict == pytest.approx(rf.conflict, abs=1e-12)
-
-    def test_unknown_order_rejected(self, shared_pair):
-        with pytest.raises(ValidationError):
-            fuse(*shared_pair, order="backwards")
 
     def test_deterministic_reports(self, mixed_pair):
         assert fuse(*mixed_pair) == fuse(*mixed_pair)
