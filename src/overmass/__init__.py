@@ -9,55 +9,19 @@ package does not load.
 
 from .errors import EvidenceError, ParseError, RuleGuardError, ValidationError
 from .frame import (
-    EMPTY_SYMBOL,
-    MAX_FRAME_SIZE,
-    SEPARATOR,
-    FocalSet,
-    Frame,
-    enumerate_powerset,
-    intersect,
-    make_frame,
-    parse_focal,
-    unite,
+    EMPTY_SYMBOL, MAX_FRAME_SIZE, SEPARATOR, FocalSet, Frame, enumerate_powerset, intersect,
+    make_frame, parse_focal, unite,
 )
 from .mass import (
-    CLASSICAL_RANGE,
-    SUM_EPSILON,
-    BeliefInterval,
-    MassFunction,
-    MassRange,
-    RangeClass,
-    SumClass,
-    belief,
-    belief_interval,
-    best_focal,
-    best_singleton,
-    classify_range,
-    classify_sum,
-    interval_union,
-    make_mass,
-    plausibility,
-    union_of_ranges,
+    CLASSICAL_RANGE, SUM_EPSILON, BeliefInterval, MassFunction, MassRange, RangeClass, SumClass,
+    belief, belief_interval, best_focal, best_singleton, classify_range, classify_sum,
+    interval_union, make_mass, plausibility, union_of_ranges,
 )
 from .rules import (
-    FusionReport,
-    RuleId,
-    TraceRecord,
-    average,
-    conjunctive,
-    dempster,
-    fuse,
-    over_normalize,
-    pcr5,
+    FusionReport, RuleId, TraceRecord, average, conjunctive, dempster, fuse, over_normalize, pcr5,
     total_proportional,
 )
-from .regime import (
-    CONFLICT_WARNING_THRESHOLD,
-    Advisory,
-    AdvisoryKind,
-    assess,
-    assess_fusion,
-)
+from .regime import CONFLICT_WARNING_THRESHOLD, Advisory, AdvisoryKind, assess, assess_fusion
 
 __version__ = "0.1.0"
 

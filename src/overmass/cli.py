@@ -434,10 +434,14 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     return 0 if ok else 4
 
 
+#: Every double is a multiple of 2**-1074, so it prints exactly in 1074 decimals.
+MAX_PRECISION = 1074
+
+
 def _precision(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("precision must be >= 0, got %d" % value)
+    if not 0 <= value <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError("precision must be in [0, %d], got %d" % (MAX_PRECISION, value))
     return value
 
 

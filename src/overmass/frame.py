@@ -89,6 +89,9 @@ class FocalSet:
         if not 0 <= self.bits < (1 << len(self.frame)):
             raise ValidationError("bitmask %#x out of range for a frame of %d elements" % (self.bits, len(self.frame)))
 
+    def __hash__(self) -> int:  # equal sets have equal bits; skips re-hashing the frame's labels
+        return hash(self.bits)
+
     @property
     def is_empty(self) -> bool:
         return self.bits == 0

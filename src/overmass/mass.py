@@ -31,6 +31,14 @@ def checked_fsum(values: Iterable[float]) -> float:
         raise ValidationError("weights sum beyond the float range") from None
 
 
+def _as_float(value: float) -> float:
+    """float(value), raising ValidationError for a number beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError("number too large for a float") from None
+
+
 @dataclass(frozen=True)
 class MassRange:
     """Closed weight interval [lo, hi] with lo <= 0 and hi >= 1."""
@@ -39,8 +47,8 @@ class MassRange:
     hi: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+        object.__setattr__(self, "lo", _as_float(self.lo))
+        object.__setattr__(self, "hi", _as_float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValidationError("range bounds must be finite, got [%r, %r]" % (self.lo, self.hi))
         if self.lo > 0.0:
@@ -121,7 +129,7 @@ class MassFunction:
                 raise ValidationError("focal set %s belongs to a different frame" % fs)
         cleaned: dict[FocalSet, float] = {}
         for fs, w in sorted(self.weights.items(), key=lambda item: item[0].bits):
-            w = float(w)
+            w = _as_float(w)
             if not math.isfinite(w):
                 raise ValidationError("weight %r on %s is not finite" % (w, fs))
             if fs.is_empty and w == 0.0:
@@ -179,7 +187,7 @@ def make_mass(
         fs = parse_focal(key, frame) if isinstance(key, str) else key
         if fs in resolved:
             raise ValidationError("focal set %s assigned twice" % fs)
-        resolved[fs] = float(w)
+        resolved[fs] = _as_float(w)
 
     for fs, w in resolved.items():
         if fs.is_empty:
@@ -236,13 +244,15 @@ def _require_query(m: MassFunction, a: FocalSet) -> None:
 def belief(m: MassFunction, a: FocalSet) -> float:
     """Total weight of nonempty focal sets contained in ``a``."""
     _require_query(m, a)
-    return checked_fsum(w for fs, w in m.weights.items() if not fs.is_empty and fs.issubset(a))
+    q = a.bits
+    return checked_fsum(w for fs, w in m.weights.items() if fs.bits and not fs.bits & ~q)
 
 
 def plausibility(m: MassFunction, a: FocalSet) -> float:
     """Total weight of focal sets intersecting ``a``."""
     _require_query(m, a)
-    return checked_fsum(w for fs, w in m.weights.items() if fs.intersects(a))
+    q = a.bits
+    return checked_fsum(w for fs, w in m.weights.items() if fs.bits & q)
 
 
 def belief_interval(m: MassFunction, a: FocalSet) -> BeliefInterval:

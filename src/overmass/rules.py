@@ -13,13 +13,14 @@ classical inputs and defined (non-total) conflict.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import inf
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import RuleGuardError, ValidationError
-from .frame import FocalSet
+from .frame import FocalSet, Frame
 from .mass import (
     CLASSICAL_RANGE,
     SUM_EPSILON,
@@ -55,12 +56,50 @@ class TraceRecord:
     assigned_to: FocalSet
 
 
+class ProductTrace(Sequence[TraceRecord]):
+    """The pairwise products of two masses as TraceRecords, built only when read.
+
+    Each focal set of m1 against each of m2, in ascending bitmask order.
+    Only the inputs are kept, so len() is free; equality is by the records.
+    """
+
+    __slots__ = ("_m1", "_m2")
+
+    def __init__(self, m1: MassFunction, m2: MassFunction) -> None:
+        self._m1 = m1
+        self._m2 = m2
+
+    def __len__(self) -> int:
+        return len(self._m1.weights) * len(self._m2.weights)
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        for x, w1 in self._m1.weights.items():
+            for y, w2 in self._m2.weights.items():
+                yield TraceRecord(x, y, w1 * w2, x & y)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        row, col = divmod(range(len(self))[index], len(self._m2.weights))
+        (x, w1), (y, w2) = list(self._m1.weights.items())[row], list(self._m2.weights.items())[col]
+        return TraceRecord(x, y, w1 * w2, x & y)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return "ProductTrace(%d records)" % len(self)
+
+
 @dataclass(frozen=True)
 class FusionReport:
     """A combined mass with its audit fields.
 
     conflict is the weight that fell on the empty set before any
     redistribution; normalization rescales it alongside the weights.
+    trace lists every pairwise product (empty for average).
     divisor accumulates every rescaling applied (1 when none was).
     skipped_fractions counts conflicting products discarded because both
     source weights were zero, which makes the proportional split's
@@ -70,7 +109,7 @@ class FusionReport:
 
     result: MassFunction
     conflict: float
-    trace: tuple[TraceRecord, ...]
+    trace: Sequence[TraceRecord]
     divisor: float
     rule: RuleId
     skipped_fractions: int = 0
@@ -85,21 +124,23 @@ def _check_pair(m1: MassFunction, m2: MassFunction) -> None:
         )
 
 
-def _products(
-    m1: MassFunction, m2: MassFunction
-) -> tuple[dict[FocalSet, float], tuple[TraceRecord, ...], float]:
-    """Pairwise products over declared focal sets, bucketed by intersection."""
-    buckets: dict[FocalSet, list[float]] = {}
-    trace: list[TraceRecord] = []
-    for x, w1 in m1.weights.items():
-        for y, w2 in m2.weights.items():
-            landing = x & y
-            p = w1 * w2
-            buckets.setdefault(landing, []).append(p)
-            trace.append(TraceRecord(x, y, p, landing))
-    weights = {fs: checked_fsum(parts) for fs, parts in buckets.items()}
-    conflict = weights.get(m1.frame.empty_set(), 0.0)
-    return weights, tuple(trace), conflict
+def _products(m1: MassFunction, m2: MassFunction) -> dict[int, list[float]]:
+    """Pairwise products over declared focal sets, bucketed by intersection bitmask.
+
+    Products are taken in trace order; the caller has checked the frames.
+    """
+    buckets: defaultdict[int, list[float]] = defaultdict(list)
+    second = [(fs.bits, w) for fs, w in m2.weights.items()]
+    for fs, w1 in m1.weights.items():
+        x = fs.bits
+        for y, w2 in second:
+            buckets[x & y].append(w1 * w2)
+    return buckets
+
+
+def _mass(frame: Frame, weights: dict[int, float], mass_range: MassRange) -> MassFunction:
+    """A MassFunction from bitmask-keyed weights, one FocalSet per key."""
+    return MassFunction(frame, {FocalSet(frame, b): weights[b] for b in sorted(weights)}, mass_range)
 
 
 def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
@@ -111,9 +152,9 @@ def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
     equals the product of the input totals.
     """
     _check_pair(m1, m2)
-    weights, trace, conflict = _products(m1, m2)
-    result = MassFunction(m1.frame, weights, interval_union(m1.range, m2.range))
-    return FusionReport(result, conflict, trace, 1.0, RuleId.CONJUNCTIVE)
+    weights = {bits: checked_fsum(parts) for bits, parts in _products(m1, m2).items()}
+    result = _mass(m1.frame, weights, interval_union(m1.range, m2.range))
+    return FusionReport(result, weights.get(0, 0.0), ProductTrace(m1, m2), 1.0, RuleId.CONJUNCTIVE)
 
 
 def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
@@ -158,31 +199,32 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
                 "pcr5 inputs must not carry weight on the empty set; "
                 "redistribute or renormalize first"
             )
-    weights, trace, conflict = _products(m1, m2)
-    empty = m1.frame.empty_set()
-
-    shares: dict[FocalSet, list[float]] = {}
+    # The products of _products, each conflicting one split as it is taken.
+    buckets: defaultdict[int, list[float]] = defaultdict(list)
+    shares: defaultdict[int, list[float]] = defaultdict(list)
     skipped = 0
-    for rec in trace:
-        if not rec.assigned_to.is_empty:
-            continue
-        w1 = m1[rec.x]
-        w2 = m2[rec.y]
-        denom = w1 + w2
-        if denom == 0.0:
-            skipped += 1
-            continue
-        shares.setdefault(rec.x, []).append(w1 * rec.product / denom)
-        shares.setdefault(rec.y, []).append(w2 * rec.product / denom)
-
-    keys = sorted(
-        (set(weights) | set(shares)) - {empty}, key=lambda fs: fs.bits
-    )
+    second = [(fs.bits, w) for fs, w in m2.weights.items()]
+    for fs, w1 in m1.weights.items():
+        x = fs.bits
+        for y, w2 in second:
+            landing = x & y
+            p = w1 * w2
+            buckets[landing].append(p)
+            if landing:
+                continue
+            denom = w1 + w2
+            if denom == 0.0:
+                skipped += 1
+                continue
+            shares[x].append(w1 * p / denom)
+            shares[y].append(w2 * p / denom)
+    weights = {bits: checked_fsum(parts) for bits, parts in buckets.items()}
     combined = {
-        fs: checked_fsum([weights.get(fs, 0.0), *shares.get(fs, [])]) for fs in keys
+        bits: checked_fsum([weights.get(bits, 0.0), *shares.get(bits, [])])
+        for bits in (weights.keys() | shares.keys()) - {0}
     }
-    result = MassFunction(m1.frame, combined, interval_union(m1.range, m2.range))
-    return FusionReport(result, conflict, trace, 1.0, RuleId.PCR5, skipped)
+    result = _mass(m1.frame, combined, interval_union(m1.range, m2.range))
+    return FusionReport(result, weights.get(0, 0.0), ProductTrace(m1, m2), 1.0, RuleId.PCR5, skipped)
 
 
 def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:

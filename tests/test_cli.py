@@ -342,6 +342,19 @@ class TestMainExitCodes:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [["fuse"], ["belpl", "--set", "A"]])
+    def test_precision_bounded_by_double_digits(self, tmp_path, capsys, command):
+        path = self.write(tmp_path, doc_text())
+        assert main([*command, "--input", path, "--precision", "1074"]) == 0
+        cells = [tok for tok in capsys.readouterr().out.split() if "." in tok]
+        assert cells and all(len(tok.split(".")[1]) == 1074 for tok in cells)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--input", path, "--precision", "1075"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1074" in captured.err
+
     @pytest.mark.parametrize("rule", [r.value for r in RuleId])
     @pytest.mark.parametrize(
         "text, flags",

@@ -1,0 +1,195 @@
+"""The bitmask product kernel against the eager FocalSet path it replaced.
+
+The oracle below is the earlier implementation of the pairwise stage: one
+FocalSet intersection and one TraceRecord per product, and pcr5's split
+taken in a second pass over those records. The kernel must reproduce it
+exactly, not approximately: every bucket and share is the same multiset of
+terms summed by the same correctly rounded fsum.
+"""
+
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from overmass import rules
+from overmass.errors import RuleGuardError
+from overmass.frame import FocalSet, enumerate_powerset, make_frame
+from overmass.mass import (
+    CLASSICAL_RANGE,
+    SUM_EPSILON,
+    MassFunction,
+    MassRange,
+    RangeClass,
+    SumClass,
+    checked_fsum,
+    classify_range,
+    classify_sum,
+    interval_union,
+)
+from overmass.rules import (
+    FusionReport,
+    RuleId,
+    TraceRecord,
+    conjunctive,
+    dempster,
+    pcr5,
+    total_proportional,
+)
+
+LABELS = "ABCDEFGHIJKLMNOP"
+
+
+def oracle_products(m1, m2):
+    buckets = {}
+    trace = []
+    for x, w1 in m1.weights.items():
+        for y, w2 in m2.weights.items():
+            landing = x & y
+            p = w1 * w2
+            buckets.setdefault(landing, []).append(p)
+            trace.append(TraceRecord(x, y, p, landing))
+    weights = {fs: checked_fsum(parts) for fs, parts in buckets.items()}
+    conflict = weights.get(m1.frame.empty_set(), 0.0)
+    return weights, tuple(trace), conflict
+
+
+def oracle_conjunctive(m1, m2):
+    rules._check_pair(m1, m2)
+    weights, trace, conflict = oracle_products(m1, m2)
+    result = MassFunction(m1.frame, weights, interval_union(m1.range, m2.range))
+    return FusionReport(result, conflict, trace, 1.0, RuleId.CONJUNCTIVE)
+
+
+def oracle_dempster(m1, m2):
+    for m in (m1, m2):
+        if classify_range(m) is not RangeClass.CLASSICAL or classify_sum(m) is not SumClass.BALANCED:
+            raise RuleGuardError("dempster requires classical masses summing to 1")
+    base = oracle_conjunctive(m1, m2)
+    if base.conflict >= 1.0 - SUM_EPSILON:
+        raise RuleGuardError("dempster is undefined under total conflict")
+    scale = 1.0 - base.conflict
+    weights = {fs: w / scale for fs, w in base.result.weights.items() if not fs.is_empty}
+    result = MassFunction(m1.frame, weights, CLASSICAL_RANGE)
+    return FusionReport(result, base.conflict, base.trace, scale, RuleId.DEMPSTER)
+
+
+def oracle_pcr5(m1, m2):
+    rules._check_pair(m1, m2)
+    weights, trace, conflict = oracle_products(m1, m2)
+    empty = m1.frame.empty_set()
+    shares = {}
+    skipped = 0
+    for rec in trace:
+        if not rec.assigned_to.is_empty:
+            continue
+        w1 = m1[rec.x]
+        w2 = m2[rec.y]
+        denom = w1 + w2
+        if denom == 0.0:
+            skipped += 1
+            continue
+        shares.setdefault(rec.x, []).append(w1 * rec.product / denom)
+        shares.setdefault(rec.y, []).append(w2 * rec.product / denom)
+    keys = sorted((set(weights) | set(shares)) - {empty}, key=lambda fs: fs.bits)
+    combined = {
+        fs: checked_fsum([weights.get(fs, 0.0), *shares.get(fs, [])]) for fs in keys
+    }
+    result = MassFunction(m1.frame, combined, interval_union(m1.range, m2.range))
+    return FusionReport(result, conflict, trace, 1.0, RuleId.PCR5, skipped)
+
+
+def oracle_total_proportional(m1, m2):
+    return total_proportional(oracle_conjunctive(m1, m2))
+
+
+CASES = [
+    (conjunctive, oracle_conjunctive),
+    (dempster, oracle_dempster),
+    (pcr5, oracle_pcr5),
+    (lambda m1, m2: total_proportional(conjunctive(m1, m2)), oracle_total_proportional),
+]
+
+
+@st.composite
+def mass_pairs(draw):
+    frame = make_frame(LABELS[: draw(st.integers(min_value=2, max_value=6))])
+    sets = [fs for fs in enumerate_powerset(frame) if not fs.is_empty]
+    # Zero weights make pcr5 skip products; normalized pairs reach dempster.
+    weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.5))
+    normalized = draw(st.booleans())
+    pair = []
+    for _ in range(2):
+        chosen = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=12, unique=True))
+        assignments = {fs: draw(weight) for fs in chosen}
+        total = sum(assignments.values())
+        if normalized and total > 0.0:
+            assignments = {fs: w / total for fs, w in assignments.items()}
+        pair.append(MassFunction(frame, assignments, MassRange(0.0, 1.5)))
+    return pair
+
+
+def _outcome(rule, m1, m2):
+    try:
+        report = rule(m1, m2)
+    except RuleGuardError:
+        return "refused"
+    return (
+        list(report.result.weights.items()),
+        report.result.range,
+        report.conflict,
+        report.divisor,
+        report.rule,
+        report.skipped_fractions,
+        list(report.trace),
+    )
+
+
+@given(mass_pairs())
+def test_kernel_equals_eager_oracle_exactly(pair):
+    m1, m2 = pair
+    for kernel, oracle in CASES:
+        assert _outcome(kernel, m1, m2) == _outcome(oracle, m1, m2)
+
+
+def test_trace_len_and_bool_build_no_records(monkeypatch):
+    built = []
+
+    class CountedRecord(TraceRecord):
+        def __init__(self, *fields):
+            built.append(fields)
+            super().__init__(*fields)
+
+    monkeypatch.setattr(rules, "TraceRecord", CountedRecord)
+    frame = make_frame(LABELS[:4])
+    m = MassFunction(frame, {fs: 0.1 for fs in enumerate_powerset(frame)[1:]}, MassRange(0, 1.5))
+    for report in (conjunctive(m, m), pcr5(m, m), total_proportional(conjunctive(m, m))):
+        assert len(report.trace) == 15 * 15
+        assert report.trace
+    assert built == []
+    assert len(list(pcr5(m, m).trace)) == len(built) == 225
+
+
+def test_trace_indexes_like_a_tuple():
+    frame = make_frame(LABELS[:3])
+    m1 = MassFunction(frame, {frame.singleton("A"): 0.5, frame.full_set(): 0.5}, CLASSICAL_RANGE)
+    m2 = MassFunction(frame, {frame.singleton("B"): 0.25, frame.subset("AB"): 0.75}, CLASSICAL_RANGE)
+    trace = conjunctive(m1, m2).trace
+    eager = oracle_conjunctive(m1, m2).trace
+    assert [trace[i] for i in range(-4, 4)] == [eager[i] for i in range(-4, 4)]
+    assert trace[1:3] == eager[1:3]
+    assert trace == eager and eager == trace
+    with pytest.raises(IndexError):
+        trace[4]
+
+
+def test_full_size_pcr5_trace_length():
+    frame = make_frame(LABELS)
+    rng = random.Random(16)
+
+    def source():
+        masks = rng.sample(range(1, 1 << 16), 256)
+        return MassFunction(frame, {FocalSet(frame, b): rng.random() / 256 for b in masks}, MassRange(0, 1.2))
+
+    assert len(pcr5(source(), source()).trace) == 65536

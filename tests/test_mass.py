@@ -143,6 +143,19 @@ class TestMassFunction:
         with pytest.raises(ValidationError):
             m.total
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ab: MassRange(0, 10**400),
+            lambda ab: make_mass(ab, {"A": 10**400}, MassRange(0, 1)),
+            lambda ab: MassFunction(ab, {ab.singleton("A"): 10**400}, CLASSICAL_RANGE),
+        ],
+        ids=["range-bound", "make-mass-weight", "mass-function-weight"],
+    )
+    def test_integer_beyond_float_range_is_a_validation_error(self, ab, build):
+        with pytest.raises(ValidationError, match="too large for a float"):
+            build(ab)
+
     def test_foreign_frame_key_rejected(self, ab):
         other = make_frame(["A", "C"])
         with pytest.raises(ValidationError):
