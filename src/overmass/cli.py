@@ -223,15 +223,8 @@ def run_pipeline(doc: ScenarioDocument) -> FusionReport:
 
 def _columns(report: FusionReport, precision: int) -> tuple[list[str], list[str]]:
     result = report.result
-    headers: list[str] = []
-    values: list[float] = []
-    for fs in result.focal_sets():
-        headers.append(str(fs))
-        values.append(result[fs])
-    headers.append(EMPTY_SYMBOL)
-    values.append(result.conflict_weight)
-    headers.append("sum")
-    values.append(result.total)
+    headers = [str(fs) for fs in result.focal_sets()] + [EMPTY_SYMBOL, "sum"]
+    values = [w for b, w in result.weights.bits.items() if b] + [result.conflict_weight, result.total]
     return headers, ["%.*f" % (precision, v) for v in values]
 
 

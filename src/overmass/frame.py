@@ -174,6 +174,4 @@ def unite(a: FocalSet, b: FocalSet) -> FocalSet:
 
 def enumerate_powerset(frame: Frame) -> list[FocalSet]:
     """All 2**n subsets of the frame, empty set first, in ascending bitmask order."""
-    if len(frame) > MAX_FRAME_SIZE:
-        raise ValidationError("frame size %d exceeds the supported maximum of %d" % (len(frame), MAX_FRAME_SIZE))
     return [FocalSet(frame, bits) for bits in range(1 << len(frame))]

@@ -10,10 +10,11 @@ declared interval yet deficient by its total, and both facts are reported.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .errors import ValidationError
 from .frame import FocalSet, Frame, parse_focal
@@ -64,9 +65,6 @@ class MassRange:
     def contains(self, w: float) -> bool:
         return self.lo <= w <= self.hi
 
-    def union(self, other: MassRange) -> MassRange:
-        return interval_union(self, other)
-
 
 CLASSICAL_RANGE = MassRange(0.0, 1.0)
 
@@ -103,6 +101,43 @@ class BeliefInterval:
     classical: bool = True
 
 
+class Weights(Mapping[FocalSet, float]):
+    """A mass's weights as a read-only Mapping from FocalSet, stored by bitmask.
+
+    ``bits`` maps bitmask to weight in ascending order, keeping an
+    empty-set entry only when its weight is nonzero; the library works on
+    it and builds a FocalSet only for a key it hands out. Construction is
+    the one place weights become floats and are checked to be finite.
+    """
+
+    __slots__ = ("frame", "bits")
+
+    def __init__(self, frame: Frame, bits: Mapping[int, float]) -> None:
+        cleaned: dict[int, float] = {}
+        for b in sorted(bits):
+            w = _as_float(bits[b])
+            if not math.isfinite(w):
+                raise ValidationError("weight %r on %s is not finite" % (w, FocalSet(frame, b)))
+            if b or w != 0.0:
+                cleaned[b] = w
+        self.frame = frame
+        self.bits: Mapping[int, float] = MappingProxyType(cleaned)
+
+    def __getitem__(self, key: FocalSet) -> float:
+        if isinstance(key, FocalSet) and key.frame == self.frame and key.bits in self.bits:
+            return self.bits[key.bits]
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[FocalSet]:
+        return (FocalSet(self.frame, b) for b in self.bits)
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __repr__(self) -> str:
+        return "Weights(%r)" % {str(fs): w for fs, w in self.items()}
+
+
 @dataclass(frozen=True)
 class MassFunction:
     """Immutable assignment of real weights to focal sets of one frame.
@@ -113,29 +148,27 @@ class MassFunction:
     intermediate results (e.g. raw conjunctive products carrying conflict
     on the empty set) without artificial rejections.
 
-    Entries are stored in ascending bitmask order, and an empty-set entry
-    is kept only when its weight is nonzero.
+    ``weights`` may be given as a FocalSet-keyed mapping, whose keys are
+    checked here, or as a :class:`Weights` of the same frame, which is
+    kept as it is.
     """
 
     frame: Frame
-    weights: Mapping[FocalSet, float]
+    weights: Weights
     range: MassRange
 
     def __post_init__(self) -> None:
-        for fs in self.weights:
+        weights = self.weights
+        if isinstance(weights, Weights):
+            if weights.frame != self.frame:
+                raise ValidationError("weights belong to a different frame")
+            return
+        for fs in weights:
             if not isinstance(fs, FocalSet):
                 raise ValidationError("mass keys must be FocalSet, got %r" % (fs,))
             if fs.frame != self.frame:
                 raise ValidationError("focal set %s belongs to a different frame" % fs)
-        cleaned: dict[FocalSet, float] = {}
-        for fs, w in sorted(self.weights.items(), key=lambda item: item[0].bits):
-            w = _as_float(w)
-            if not math.isfinite(w):
-                raise ValidationError("weight %r on %s is not finite" % (w, fs))
-            if fs.is_empty and w == 0.0:
-                continue
-            cleaned[fs] = w
-        object.__setattr__(self, "weights", MappingProxyType(cleaned))
+        object.__setattr__(self, "weights", Weights(self.frame, {fs.bits: w for fs, w in weights.items()}))
 
     def __getitem__(self, key: Union[FocalSet, str]) -> float:
         if isinstance(key, str):
@@ -145,25 +178,25 @@ class MassFunction:
     @property
     def total(self) -> float:
         """Sum of every stored weight, conflict bucket included."""
-        return checked_fsum(self.weights.values())
+        return checked_fsum(self.weights.bits.values())
 
     @property
     def focal_total(self) -> float:
         """Sum of weights on nonempty sets."""
-        return checked_fsum(w for fs, w in self.weights.items() if not fs.is_empty)
+        return checked_fsum(w for b, w in self.weights.bits.items() if b)
 
     @property
     def conflict_weight(self) -> float:
         """Weight sitting on the empty set (0 for source masses)."""
-        return self[self.frame.empty_set()]
+        return self.weights.bits.get(0, 0.0)
 
     @property
     def has_negative(self) -> bool:
-        return any(w < 0.0 for w in self.weights.values())
+        return any(w < 0.0 for w in self.weights.bits.values())
 
     def focal_sets(self, include_empty: bool = False) -> tuple[FocalSet, ...]:
         """Declared focal sets in ascending bitmask order."""
-        return tuple(fs for fs in self.weights if include_empty or not fs.is_empty)
+        return tuple(FocalSet(self.frame, b) for b in self.weights.bits if include_empty or b)
 
 
 def make_mass(
@@ -245,14 +278,14 @@ def belief(m: MassFunction, a: FocalSet) -> float:
     """Total weight of nonempty focal sets contained in ``a``."""
     _require_query(m, a)
     q = a.bits
-    return checked_fsum(w for fs, w in m.weights.items() if fs.bits and not fs.bits & ~q)
+    return checked_fsum(w for b, w in m.weights.bits.items() if b and not b & ~q)
 
 
 def plausibility(m: MassFunction, a: FocalSet) -> float:
     """Total weight of focal sets intersecting ``a``."""
     _require_query(m, a)
     q = a.bits
-    return checked_fsum(w for fs, w in m.weights.items() if fs.bits & q)
+    return checked_fsum(w for b, w in m.weights.bits.items() if b & q)
 
 
 def belief_interval(m: MassFunction, a: FocalSet) -> BeliefInterval:
@@ -266,32 +299,18 @@ def interval_union(r1: MassRange, r2: MassRange) -> MassRange:
 
 
 def union_of_ranges(ranges: Iterable[MassRange]) -> MassRange:
-    """Fold interval_union over at least one range."""
-    result: MassRange | None = None
-    for r in ranges:
-        result = r if result is None else interval_union(result, r)
-    if result is None:
+    """Smallest interval holding at least one range: [min lo, max hi]."""
+    pool = tuple(ranges)
+    if not pool:
         raise ValidationError("need at least one range")
-    return result
+    return MassRange(min(r.lo for r in pool), max(r.hi for r in pool))
 
 
 def best_focal(m: MassFunction) -> FocalSet | None:
     """Nonempty focal set with the largest weight; lowest bitmask wins ties."""
-    best: FocalSet | None = None
-    for fs, w in m.weights.items():
-        if fs.is_empty:
-            continue
-        if best is None or w > m.weights[best]:
-            best = fs
-    return best
+    return max(m.focal_sets(), key=m.__getitem__, default=None)
 
 
 def best_singleton(m: MassFunction) -> FocalSet | None:
     """Declared singleton with the largest weight; lowest bitmask wins ties."""
-    best: FocalSet | None = None
-    for fs, w in m.weights.items():
-        if fs.cardinality != 1:
-            continue
-        if best is None or w > m.weights[best]:
-            best = fs
-    return best
+    return max((fs for fs in m.focal_sets() if fs.cardinality == 1), key=m.__getitem__, default=None)

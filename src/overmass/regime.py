@@ -52,7 +52,7 @@ def assess(m: MassFunction) -> Advisory:
     balanced means business as usual.
     """
     total = m.total
-    negatives = tuple((fs, w) for fs, w in m.weights.items() if w < 0.0)
+    negatives = tuple((FocalSet(m.frame, b), w) for b, w in m.weights.bits.items() if w < 0.0)
     if negatives or m.range.lo < -SUM_EPSILON:
         if negatives:
             detail = "counter-evidence: " + ", ".join(
@@ -79,7 +79,7 @@ def assess(m: MassFunction) -> Advisory:
             "sum=%.9g exceeds 1; independent reports reinforce the same events"
             % total
         )
-        triggering = tuple(fs for fs in m.focal_sets() if m[fs] > 0.0)
+        triggering = tuple(FocalSet(m.frame, b) for b, w in m.weights.bits.items() if b and w > 0.0)
         return Advisory(AdvisoryKind.CRITICAL_PRIORITY, rationale, triggering)
     if sum_class is SumClass.DEFICIT:
         rationale = (

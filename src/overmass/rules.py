@@ -16,11 +16,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import inf
+from math import inf, isfinite
 from typing import Iterator, Sequence
 
 from .errors import RuleGuardError, ValidationError
-from .frame import FocalSet, Frame
+from .frame import FocalSet
 from .mass import (
     CLASSICAL_RANGE,
     SUM_EPSILON,
@@ -28,6 +28,7 @@ from .mass import (
     MassRange,
     RangeClass,
     SumClass,
+    Weights,
     checked_fsum,
     classify_range,
     classify_sum,
@@ -70,19 +71,16 @@ class ProductTrace(Sequence[TraceRecord]):
         self._m2 = m2
 
     def __len__(self) -> int:
-        return len(self._m1.weights) * len(self._m2.weights)
+        return len(self._m1.weights.bits) * len(self._m2.weights.bits)
 
     def __iter__(self) -> Iterator[TraceRecord]:
+        second = tuple(self._m2.weights.items())
         for x, w1 in self._m1.weights.items():
-            for y, w2 in self._m2.weights.items():
+            for y, w2 in second:
                 yield TraceRecord(x, y, w1 * w2, x & y)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        row, col = divmod(range(len(self))[index], len(self._m2.weights))
-        (x, w1), (y, w2) = list(self._m1.weights.items())[row], list(self._m2.weights.items())[col]
-        return TraceRecord(x, y, w1 * w2, x & y)
+        return tuple(self)[index]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -130,17 +128,11 @@ def _products(m1: MassFunction, m2: MassFunction) -> dict[int, list[float]]:
     Products are taken in trace order; the caller has checked the frames.
     """
     buckets: defaultdict[int, list[float]] = defaultdict(list)
-    second = [(fs.bits, w) for fs, w in m2.weights.items()]
-    for fs, w1 in m1.weights.items():
-        x = fs.bits
+    second = tuple(m2.weights.bits.items())
+    for x, w1 in m1.weights.bits.items():
         for y, w2 in second:
             buckets[x & y].append(w1 * w2)
     return buckets
-
-
-def _mass(frame: Frame, weights: dict[int, float], mass_range: MassRange) -> MassFunction:
-    """A MassFunction from bitmask-keyed weights, one FocalSet per key."""
-    return MassFunction(frame, {FocalSet(frame, b): weights[b] for b in sorted(weights)}, mass_range)
 
 
 def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
@@ -153,7 +145,7 @@ def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
     """
     _check_pair(m1, m2)
     weights = {bits: checked_fsum(parts) for bits, parts in _products(m1, m2).items()}
-    result = _mass(m1.frame, weights, interval_union(m1.range, m2.range))
+    result = MassFunction(m1.frame, Weights(m1.frame, weights), interval_union(m1.range, m2.range))
     return FusionReport(result, weights.get(0, 0.0), ProductTrace(m1, m2), 1.0, RuleId.CONJUNCTIVE)
 
 
@@ -176,10 +168,8 @@ def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
             "conflict k=%r leaves nothing to renormalize; dempster is undefined" % k
         )
     scale = 1.0 - k
-    weights = {
-        fs: w / scale for fs, w in base.result.weights.items() if not fs.is_empty
-    }
-    result = MassFunction(m1.frame, weights, CLASSICAL_RANGE)
+    weights = {b: w / scale for b, w in base.result.weights.bits.items() if b}
+    result = MassFunction(m1.frame, Weights(m1.frame, weights), CLASSICAL_RANGE)
     return FusionReport(result, k, base.trace, scale, RuleId.DEMPSTER)
 
 
@@ -203,9 +193,8 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
     buckets: defaultdict[int, list[float]] = defaultdict(list)
     shares: defaultdict[int, list[float]] = defaultdict(list)
     skipped = 0
-    second = [(fs.bits, w) for fs, w in m2.weights.items()]
-    for fs, w1 in m1.weights.items():
-        x = fs.bits
+    second = tuple(m2.weights.bits.items())
+    for x, w1 in m1.weights.bits.items():
         for y, w2 in second:
             landing = x & y
             p = w1 * w2
@@ -223,7 +212,7 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
         bits: checked_fsum([weights.get(bits, 0.0), *shares.get(bits, [])])
         for bits in (weights.keys() | shares.keys()) - {0}
     }
-    result = _mass(m1.frame, combined, interval_union(m1.range, m2.range))
+    result = MassFunction(m1.frame, Weights(m1.frame, combined), interval_union(m1.range, m2.range))
     return FusionReport(result, weights.get(0, 0.0), ProductTrace(m1, m2), 1.0, RuleId.PCR5, skipped)
 
 
@@ -247,8 +236,8 @@ def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
             "grand total %r gives normalization divisor %r, outside (0, inf)"
             % (grand, divisor)
         )
-    weights = {fs: w / divisor for fs, w in report.result.weights.items()}
-    result = MassFunction(report.result.frame, weights, target)
+    weights = {b: w / divisor for b, w in report.result.weights.bits.items()}
+    result = MassFunction(report.result.frame, Weights(report.result.frame, weights), target)
     return replace(
         report,
         result=result,
@@ -276,10 +265,12 @@ def total_proportional(report: FusionReport) -> FusionReport:
             "no positive focal weight to absorb conflict %r onto" % k
         )
     factor = 1.0 + k / focal_total
-    weights = {
-        fs: w * factor for fs, w in result.weights.items() if not fs.is_empty
-    }
-    redistributed = MassFunction(result.frame, weights, result.range)
+    if not isfinite(factor):
+        raise RuleGuardError(
+            "conflict %r over focal total %r overflows the redistribution factor" % (k, focal_total)
+        )
+    weights = {b: w * factor for b, w in result.weights.bits.items() if b}
+    redistributed = MassFunction(result.frame, Weights(result.frame, weights), result.range)
     return replace(report, result=redistributed, rule=RuleId.TOTAL_PROPORTIONAL)
 
 
@@ -296,11 +287,9 @@ def average(masses: Sequence[MassFunction]) -> FusionReport:
     for m in pool[1:]:
         if m.frame != frame:
             raise ValidationError("cannot combine masses over different frames")
-    keys = sorted(
-        {fs for m in pool for fs in m.focal_sets()}, key=lambda fs: fs.bits
-    )
-    weights = {fs: checked_fsum(m[fs] for m in pool) / len(pool) for fs in keys}
-    result = MassFunction(frame, weights, union_of_ranges(m.range for m in pool))
+    keys = {b for m in pool for b in m.weights.bits} - {0}
+    weights = {b: checked_fsum(m.weights.bits.get(b, 0.0) for m in pool) / len(pool) for b in keys}
+    result = MassFunction(frame, Weights(frame, weights), union_of_ranges(m.range for m in pool))
     return FusionReport(result, 0.0, (), 1.0, RuleId.AVERAGE)
 
 

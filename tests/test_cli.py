@@ -54,6 +54,32 @@ CLASSICAL_SOURCES = [
 ]
 
 
+#: Inputs that fuse refuses with exit 2: a document, extra flags, and the message's gist.
+PARSE_FAILURES = [
+    ("{not json", [], "invalid JSON"),
+    (doc_text(sources=[{"range": [0], "masses": {"A": 1.0}}, MIXED_SOURCES[1]]), [], '"range" must be'),
+    (doc_text(pipeline=["pcr5"]), [], '"pipeline" must be an object'),
+    (doc_text(pipeline={"strict": "yes"}), [], '"strict" must be true or false'),
+    (doc_text(pipeline={"normalize": 1}), [], '"normalize" must be true or false'),
+    (json.dumps({"frame": ["A", "B"], "sources": {"m1": {}}}), [], '"sources" must be a list'),
+    (doc_text(sources=[1, MIXED_SOURCES[1]]), [], "source #1 must be an object"),
+    (doc_text(sources=[{"name": "", "masses": {"A": 1.0}}, MIXED_SOURCES[1]]), [], "name must be"),
+    (doc_text(sources=[{"name": 7, "masses": {"A": 1.0}}, MIXED_SOURCES[1]]), [], "name must be"),
+    (doc_text(sources=[{"name": "m1", "masses": [["A", 1.0]]}, MIXED_SOURCES[1]]), [], '"masses" must map'),
+    (doc_text(), ["--target", "0"], "expects LO,HI"),
+    (doc_text(), ["--target", "0,1,2"], "expects LO,HI"),
+    (doc_text(), ["--target", "low,high"], "expects two numbers"),
+]
+
+NO_SOURCES = json.dumps({"frame": ["A", "B"], "sources": []})
+
+#: The total-proportional factor 1 + k/S overflows on this subnormal focal total.
+OVERFLOW_SOURCES = [
+    {"range": [0, 1.5], "masses": {"B": 2.225073858507e-311, "A|C": 1.0}},
+    {"range": [0, 1.5], "masses": {"B": 1.0}},
+]
+
+
 def run_child(*args):
     """This interpreter in a child process, importing the package under test."""
     src = os.path.dirname(os.path.dirname(overmass.__file__))
@@ -297,6 +323,12 @@ class TestMainExitCodes:
             assert main(["fuse", "--input", path, "--rule", rule]) == 3
         assert main(["fuse", "--input", path, "--rule", "average"]) == 0
         capsys.readouterr()
+        path = self.write(tmp_path, doc_text(frame="ABC", sources=OVERFLOW_SOURCES,
+                                             pipeline={"rule": "total-proportional"}))
+        assert main(["fuse", "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "conflict 1.0 over focal total 2.225073858507e-311" in captured.err
 
     def test_fuse_validation_exit(self, tmp_path, capsys):
         bad = doc_text(
@@ -306,11 +338,19 @@ class TestMainExitCodes:
         path = self.write(tmp_path, bad)
         assert main(["fuse", "--input", path]) == 1
         assert "m1" in capsys.readouterr().err
+        path = self.write(tmp_path, NO_SOURCES)
+        for command in (["classify"], ["belpl", "--set", "A"]):
+            assert main([*command, "--input", path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "no sources" in captured.err
 
     def test_fuse_parse_exit(self, tmp_path, capsys):
-        path = self.write(tmp_path, "{not json")
-        assert main(["fuse", "--input", path]) == 2
-        assert "parse error" in capsys.readouterr().err
+        for text, flags, gist in PARSE_FAILURES:
+            path = self.write(tmp_path, text)
+            assert main(["fuse", "--input", path, *flags]) == 2, gist
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("parse error:"), gist
+            assert gist in captured.err
 
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         assert main(["fuse", "--input", str(tmp_path / "absent.json")]) == 2
@@ -412,6 +452,12 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "only" in out
         assert "Bel(A|B) = 1.100000" in out
+        assert "note" not in out
+        path = self.write(tmp_path, doc_text(sources=NEGATIVE_SOURCES[:1]))
+        assert main(["belpl", "--input", path, "--set", "A"]) == 0
+        out = capsys.readouterr().out
+        assert "Bel(A) = -0.200000" in out
+        assert "note: negative weights present" in out
 
     def test_belpl_unknown_set(self, tmp_path, capsys):
         path = self.write(tmp_path, doc_text())

@@ -1,5 +1,6 @@
 import pytest
 
+from overmass.cli import render_table
 from overmass.errors import ParseError, ValidationError
 from overmass.frame import FocalSet, make_frame, parse_focal
 from overmass.mass import (
@@ -8,6 +9,7 @@ from overmass.mass import (
     MassRange,
     RangeClass,
     SumClass,
+    Weights,
     belief,
     belief_interval,
     best_focal,
@@ -19,6 +21,7 @@ from overmass.mass import (
     plausibility,
     union_of_ranges,
 )
+from overmass.rules import RuleId, fuse
 
 
 @pytest.fixture
@@ -158,13 +161,89 @@ class TestMassFunction:
 
     def test_foreign_frame_key_rejected(self, ab):
         other = make_frame(["A", "C"])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="different frame"):
             MassFunction(ab, {other.singleton("A"): 1.0}, CLASSICAL_RANGE)
+        for key in ("A", 1):
+            with pytest.raises(ValidationError, match="mass keys must be FocalSet"):
+                MassFunction(ab, {key: 1.0}, CLASSICAL_RANGE)
 
     def test_focal_sets_excludes_empty(self, ab):
         m = MassFunction(ab, {ab.empty_set(): 0.2, ab.singleton("B"): 0.8}, CLASSICAL_RANGE)
         assert m.focal_sets() == (ab.singleton("B"),)
         assert m.focal_sets(include_empty=True)[0].is_empty
+
+
+class TestWeights:
+    @pytest.fixture
+    def m(self, ab):
+        return make_mass(ab, {"A|B": 0.2, "B": 0.3, "A": 0.5}, CLASSICAL_RANGE)
+
+    def test_mapping_view(self, ab, m):
+        a, b, both = ab.singleton("A"), ab.singleton("B"), ab.full_set()
+        assert list(m.weights) == [a, b, both]
+        assert m.weights.bits == {1: 0.5, 2: 0.3, 3: 0.2}
+        assert list(m.weights.bits) == [1, 2, 3]
+        assert dict(m.weights) == {a: 0.5, b: 0.3, both: 0.2}
+        assert m.weights == {both: 0.2, a: 0.5, b: 0.3}
+        assert m.weights != {a: 0.5, b: 0.3}
+        assert a in m.weights and ab.empty_set() not in m.weights
+        assert m.weights[b] == 0.3 and len(m.weights) == 3
+
+    def test_foreign_key_missing(self, m):
+        foreign = make_frame(["A", "B", "C"]).singleton("A")
+        assert foreign.bits == 1 and foreign not in m.weights
+        with pytest.raises(KeyError):
+            m.weights[foreign]
+        with pytest.raises(KeyError):
+            m.weights[1]
+        assert m[foreign] == 0.0
+
+    def test_read_only(self, ab, m):
+        with pytest.raises(TypeError):
+            m.weights[ab.singleton("A")] = 1.0
+        with pytest.raises(TypeError):
+            m.weights.bits[1] = 1.0
+
+    def test_repr_names_sets(self, m):
+        assert repr(m.weights) == "Weights({'A': 0.5, 'B': 0.3, 'A|B': 0.2})"
+        assert " at 0x" not in repr(m)
+
+    def test_built_from_bits(self, ab):
+        weights = Weights(ab, {3: 1, 0: 0.0, 1: 0.25})
+        assert weights.bits == {1: 0.25, 3: 1.0} and type(weights.bits[3]) is float
+        assert MassFunction(ab, weights, CLASSICAL_RANGE).weights is weights
+        assert Weights(ab, {0: 0.5}).bits == {0: 0.5}
+        for w in (float("inf"), float("nan"), 10**400):
+            with pytest.raises(ValidationError):
+                Weights(ab, {1: w})
+
+    def test_weights_of_another_frame_rejected(self, ab):
+        weights = Weights(make_frame(["A", "C"]), {1: 1.0})
+        with pytest.raises(ValidationError, match="different frame"):
+            MassFunction(ab, weights, CLASSICAL_RANGE)
+
+    def test_hot_paths_build_no_focal_sets(self, monkeypatch):
+        built = []
+        post_init = FocalSet.__post_init__
+
+        def counted(fs):
+            built.append(fs.bits)
+            post_init(fs)
+
+        frame = make_frame("ABCDEF")
+        m1, m2 = (
+            MassFunction(frame, {FocalSet(frame, b): 0.01 * (b % 7 + 1) for b in bits}, MassRange(0, 1.5))
+            for bits in (range(1, 64, 3), range(2, 64, 5))
+        )
+        query = frame.subset("ABC")
+        monkeypatch.setattr(FocalSet, "__post_init__", counted)
+        report = fuse(m1, m2, RuleId.PCR5)
+        assert report.result.total == pytest.approx(1.5)
+        assert belief_interval(report.result, query).classical
+        assert len(report.result.weights) > len(m1.weights)
+        assert built == []
+        columns = render_table(report).splitlines()[0].split()
+        assert columns[-2:] == ["∅", "sum"] and len(built) <= len(columns)
 
 
 class TestClassification:
@@ -230,6 +309,10 @@ class TestBeliefPlausibility:
             belief(fused, ab.empty_set())
         with pytest.raises(ValidationError):
             plausibility(fused, ab.empty_set())
+        foreign = make_frame(["A", "C"]).singleton("A")
+        for query in (belief, plausibility, belief_interval):
+            with pytest.raises(ValidationError, match="different frame"):
+                query(fused, foreign)
 
     def test_conflict_bucket_invisible_to_bel_pl(self, ab):
         bare = MassFunction(ab, {ab.singleton("A"): 0.5}, CLASSICAL_RANGE)

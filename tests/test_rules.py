@@ -324,6 +324,14 @@ class TestTotalProportional:
         with pytest.raises(RuleGuardError):
             total_proportional(report)
 
+    def test_factor_overflow_is_a_guard(self):
+        # A subnormal focal total makes 1 + k/S overflow; the guard names k and S.
+        abc = make_frame(["A", "B", "C"])
+        m1 = make_mass(abc, {"B": 2.225073858507e-311, "A|C": 1.0}, MassRange(0, 1.5))
+        m2 = make_mass(abc, {"B": 1.0}, MassRange(0, 1.5))
+        with pytest.raises(RuleGuardError, match=r"conflict 1\.0 over focal total 2\.225073858507e-311"):
+            total_proportional(conjunctive(m1, m2))
+
 
 class TestAverage:
     def test_published_pair(self, ab):
