@@ -9,13 +9,13 @@ package does not load.
 
 from .errors import EvidenceError, ParseError, RuleGuardError, ValidationError
 from .frame import (
-    EMPTY_SYMBOL, MAX_FRAME_SIZE, SEPARATOR, FocalSet, Frame, enumerate_powerset, intersect,
-    make_frame, parse_focal, unite,
+    EMPTY_SYMBOL, MAX_FRAME_SIZE, SEPARATOR, FocalSet, Frame, enumerate_powerset, make_frame,
+    parse_focal,
 )
 from .mass import (
     CLASSICAL_RANGE, SUM_EPSILON, BeliefInterval, MassFunction, MassRange, RangeClass, SumClass,
     belief, belief_interval, best_focal, best_singleton, classify_range, classify_sum,
-    interval_union, make_mass, plausibility, union_of_ranges,
+    interval_union, make_mass, plausibility,
 )
 from .rules import (
     FusionReport, RuleId, TraceRecord, average, conjunctive, dempster, fuse, over_normalize, pcr5,
@@ -61,7 +61,6 @@ __all__ = [
     "dempster",
     "enumerate_powerset",
     "fuse",
-    "intersect",
     "interval_union",
     "make_frame",
     "make_mass",
@@ -70,6 +69,4 @@ __all__ = [
     "pcr5",
     "plausibility",
     "total_proportional",
-    "unite",
-    "union_of_ranges",
 ]

@@ -37,7 +37,6 @@ from .mass import (
     classify_range,
     classify_sum,
     make_mass,
-    union_of_ranges,
 )
 from .regime import assess
 from .rules import FusionReport, RuleId, average, fuse
@@ -193,8 +192,11 @@ def run_pipeline(doc: ScenarioDocument) -> FusionReport:
     Sources are folded left to right; pcr5 is not associative, so its fold
     over three or more sources depends on their order. Normalization, when
     enabled, runs once on the final pair so the target range applies to
-    the end result; the average rule takes all sources in a single call
-    instead of folding, since the mean of means is not the mean.
+    the end result. With no target, fuse's default there (the union of
+    the pair's ranges) is the union of every source range, since each
+    combination carries the union of its inputs' ranges. The average rule
+    takes all sources in a single call instead of folding, since the mean
+    of means is not the mean.
     """
     if len(doc.sources) < 2:
         raise ValidationError(
@@ -204,21 +206,10 @@ def run_pipeline(doc: ScenarioDocument) -> FusionReport:
     spec = doc.pipeline
     if spec.rule is RuleId.AVERAGE:
         return average(masses)
-    target = spec.target or union_of_ranges(m.range for m in masses)
-    report: FusionReport | None = None
     acc = masses[0]
-    final = len(masses) - 1
-    for i, m in enumerate(masses[1:], start=1):
-        report = fuse(
-            acc,
-            m,
-            spec.rule,
-            target=target,
-            normalize=spec.normalize and i == final,
-        )
-        acc = report.result
-    assert report is not None
-    return report
+    for m in masses[1:-1]:
+        acc = fuse(acc, m, spec.rule, normalize=False).result
+    return fuse(acc, masses[-1], spec.rule, target=spec.target, normalize=spec.normalize)
 
 
 def _columns(report: FusionReport, precision: int) -> tuple[list[str], list[str]]:

@@ -44,10 +44,6 @@ class Frame:
                 raise ValidationError("duplicate label %r" % label)
             seen.add(label)
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -111,27 +107,24 @@ class FocalSet:
         return iter(self.labels())
 
     def __and__(self, other: FocalSet) -> FocalSet:
-        return intersect(self, other)
+        """Set intersection; empty when the operands are disjoint."""
+        _require_same_frame(self, other)
+        return FocalSet(self.frame, self.bits & other.bits)
 
     def __or__(self, other: FocalSet) -> FocalSet:
-        return unite(self, other)
+        """Set union."""
+        _require_same_frame(self, other)
+        return FocalSet(self.frame, self.bits | other.bits)
 
     def issubset(self, other: FocalSet) -> bool:
         _require_same_frame(self, other)
         return self.bits & ~other.bits == 0
 
-    def intersects(self, other: FocalSet) -> bool:
-        _require_same_frame(self, other)
-        return self.bits & other.bits != 0
-
-    def render(self) -> str:
+    def __str__(self) -> str:
         """Textual form: member labels joined by the separator, or the empty symbol."""
         if self.is_empty:
             return EMPTY_SYMBOL
         return SEPARATOR.join(self.labels())
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def _require_same_frame(a: FocalSet, b: FocalSet) -> None:
@@ -158,18 +151,6 @@ def parse_focal(expr: str, frame: Frame) -> FocalSet:
             raise ParseError("empty label in focal-set expression %r" % expr)
         bits |= 1 << frame.index(label)
     return FocalSet(frame, bits)
-
-
-def intersect(a: FocalSet, b: FocalSet) -> FocalSet:
-    """Set intersection; empty when the operands are disjoint."""
-    _require_same_frame(a, b)
-    return FocalSet(a.frame, a.bits & b.bits)
-
-
-def unite(a: FocalSet, b: FocalSet) -> FocalSet:
-    """Set union."""
-    _require_same_frame(a, b)
-    return FocalSet(a.frame, a.bits | b.bits)
 
 
 def enumerate_powerset(frame: Frame) -> list[FocalSet]:

@@ -120,8 +120,14 @@ class Weights(Mapping[FocalSet, float]):
                 raise ValidationError("weight %r on %s is not finite" % (w, FocalSet(frame, b)))
             if b or w != 0.0:
                 cleaned[b] = w
-        self.frame = frame
-        self.bits: Mapping[int, float] = MappingProxyType(cleaned)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "bits", MappingProxyType(cleaned))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Weights is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Weights is read-only")
 
     def __getitem__(self, key: FocalSet) -> float:
         if isinstance(key, FocalSet) and key.frame == self.frame and key.bits in self.bits:
@@ -194,9 +200,9 @@ class MassFunction:
     def has_negative(self) -> bool:
         return any(w < 0.0 for w in self.weights.bits.values())
 
-    def focal_sets(self, include_empty: bool = False) -> tuple[FocalSet, ...]:
-        """Declared focal sets in ascending bitmask order."""
-        return tuple(FocalSet(self.frame, b) for b in self.weights.bits if include_empty or b)
+    def focal_sets(self) -> tuple[FocalSet, ...]:
+        """Declared nonempty focal sets in ascending bitmask order."""
+        return tuple(FocalSet(self.frame, b) for b in self.weights.bits if b)
 
 
 def make_mass(
@@ -293,17 +299,10 @@ def belief_interval(m: MassFunction, a: FocalSet) -> BeliefInterval:
     return BeliefInterval(belief(m, a), plausibility(m, a), classical=not m.has_negative)
 
 
-def interval_union(r1: MassRange, r2: MassRange) -> MassRange:
-    """Smallest interval accommodating both ranges: [min lo, max hi]."""
-    return MassRange(min(r1.lo, r2.lo), max(r1.hi, r2.hi))
-
-
-def union_of_ranges(ranges: Iterable[MassRange]) -> MassRange:
-    """Smallest interval holding at least one range: [min lo, max hi]."""
-    pool = tuple(ranges)
-    if not pool:
-        raise ValidationError("need at least one range")
-    return MassRange(min(r.lo for r in pool), max(r.hi for r in pool))
+def interval_union(first: MassRange, *rest: MassRange) -> MassRange:
+    """Smallest interval holding every given range: [min lo, max hi]."""
+    ranges = (first, *rest)
+    return MassRange(min(r.lo for r in ranges), max(r.hi for r in ranges))
 
 
 def best_focal(m: MassFunction) -> FocalSet | None:

@@ -16,8 +16,7 @@ from .frame import FocalSet
 from .mass import SUM_EPSILON, MassFunction, SumClass, classify_sum
 from .rules import FusionReport
 
-#: Conflict level above which assess_fusion appends a warning. Arbitrary
-#: default, overridable per call.
+#: Conflict level above which assess_fusion appends a warning. Arbitrary.
 CONFLICT_WARNING_THRESHOLD = 0.5
 
 
@@ -91,12 +90,10 @@ def assess(m: MassFunction) -> Advisory:
     return Advisory(AdvisoryKind.NOMINAL, rationale, ())
 
 
-def assess_fusion(
-    report: FusionReport, *, warn_threshold: float = CONFLICT_WARNING_THRESHOLD
-) -> Advisory:
+def assess_fusion(report: FusionReport) -> Advisory:
     """Advisory for a fused result, annotated with conflict and divisor."""
     base = assess(report.result)
     extra = "; conflict k=%.9g; divisor=%.9g" % (report.conflict, report.divisor)
-    if report.conflict > warn_threshold:
-        extra += "; warning: conflict exceeds %g" % warn_threshold
+    if report.conflict > CONFLICT_WARNING_THRESHOLD:
+        extra += "; warning: conflict exceeds %g" % CONFLICT_WARNING_THRESHOLD
     return replace(base, rationale=base.rationale + extra)

@@ -33,7 +33,6 @@ from .mass import (
     classify_range,
     classify_sum,
     interval_union,
-    union_of_ranges,
 )
 
 
@@ -289,7 +288,7 @@ def average(masses: Sequence[MassFunction]) -> FusionReport:
             raise ValidationError("cannot combine masses over different frames")
     keys = {b for m in pool for b in m.weights.bits} - {0}
     weights = {b: checked_fsum(m.weights.bits.get(b, 0.0) for m in pool) / len(pool) for b in keys}
-    result = MassFunction(frame, Weights(frame, weights), union_of_ranges(m.range for m in pool))
+    result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
     return FusionReport(result, 0.0, (), 1.0, RuleId.AVERAGE)
 
 

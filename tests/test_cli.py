@@ -19,7 +19,7 @@ from overmass.cli import (
     run_pipeline,
 )
 from overmass.errors import ParseError, RuleGuardError, ValidationError
-from overmass.mass import MassRange
+from overmass.mass import MassRange, interval_union
 from overmass.rules import RuleId, fuse
 
 
@@ -51,6 +51,12 @@ CLASSICAL_SOURCES = [
     {"range": [0, 1], "masses": {"A": 0.5, "B": 0.3, "A|B": 0.2}},
     {"range": [0, 1], "masses": {"A": 0.2, "B": 0.6, "A|B": 0.2}},
     {"range": [0, 1], "masses": {"A": 0.6, "B": 0.1, "A|B": 0.3}},
+]
+
+MIXED_THREE_SOURCES = [
+    {"range": [0, 1.1], "masses": {"A": 0.6, "B": 0.3, "A|B": 0.2}},
+    {"range": [0, 1.3], "masses": {"A": 0.3, "B": 0.7, "A|B": 0.3}},
+    {"range": [-0.2, 1], "masses": {"A": 0.5, "B": 0.2, "A|B": 0.1}},
 ]
 
 
@@ -238,14 +244,16 @@ class TestRunPipeline:
                 )
 
     def test_three_sources_fold_left(self):
-        for rule in (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.PCR5,
-                     RuleId.TOTAL_PROPORTIONAL):
-            doc = load_document(
-                doc_text(sources=CLASSICAL_SOURCES,
-                         pipeline={"rule": rule.value, "target": [0, 1.2]})
-            )
+        cases = [(CLASSICAL_SOURCES, rule, [0, 1.2])
+                 for rule in (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.PCR5,
+                              RuleId.TOTAL_PROPORTIONAL)]
+        # Without a target the default is the union of every source range.
+        cases += [(MIXED_THREE_SOURCES, rule, None)
+                  for rule in (RuleId.PCR5, RuleId.TOTAL_PROPORTIONAL)]
+        for sources, rule, target in cases:
+            doc = load_document(doc_text(sources=sources, pipeline={"rule": rule.value, "target": target}))
             m1, m2, m3 = (s.mass for s in doc.sources)
-            target = MassRange(0, 1.2)
+            target = MassRange(*target) if target else interval_union(m1.range, m2.range, m3.range)
             first = fuse(m1, m2, rule, target=target, normalize=False)
             assert run_pipeline(doc) == fuse(first.result, m3, rule, target=target)
 

@@ -7,10 +7,8 @@ from overmass.frame import (
     EMPTY_SYMBOL,
     FocalSet,
     enumerate_powerset,
-    intersect,
     make_frame,
     parse_focal,
-    unite,
 )
 
 
@@ -26,7 +24,7 @@ class TestMakeFrame:
 
     def test_three_elements(self):
         frame = make_frame(["θ1", "θ2", "θ3"])
-        assert frame.size == 3
+        assert len(frame) == 3
 
     def test_ordering_preserved(self):
         assert make_frame(["Z", "A", "M"]).labels == ("Z", "A", "M")
@@ -55,7 +53,7 @@ class TestMakeFrame:
         labels = ["e%d" % i for i in range(17)]
         with pytest.raises(ValidationError):
             make_frame(labels)
-        assert make_frame(labels[:16]).size == 16
+        assert len(make_frame(labels[:16])) == 16
 
 
 class TestParseFocal:
@@ -83,7 +81,7 @@ class TestParseFocal:
         assert parse_focal(" A | B ", ab) == ab.full_set()
 
     def test_render_normalizes_to_frame_order(self, ab):
-        assert parse_focal("B|A", ab).render() == "A|B"
+        assert str(parse_focal("B|A", ab)) == "A|B"
 
     def test_empty_set_renders_symbol(self, ab):
         assert str(ab.empty_set()) == EMPTY_SYMBOL
@@ -92,37 +90,32 @@ class TestParseFocal:
 class TestSetAlgebra:
     def test_disjoint_intersection(self, ab):
         a, b = ab.singleton("A"), ab.singleton("B")
-        assert intersect(a, b).is_empty
+        assert (a & b).is_empty
 
     def test_subset_absorption(self, ab):
         a = ab.singleton("A")
-        assert intersect(a, ab.full_set()) == a
+        assert (a & ab.full_set()) == a
 
     def test_intersection_idempotent(self, ab):
         full = ab.full_set()
-        assert intersect(full, full) == full
+        assert (full & full) == full
 
     def test_union_of_singletons(self, ab):
-        assert unite(ab.singleton("A"), ab.singleton("B")) == ab.full_set()
+        assert (ab.singleton("A") | ab.singleton("B")) == ab.full_set()
 
     def test_union_identity(self, ab):
         a = ab.singleton("A")
-        assert unite(a, ab.empty_set()) == a
+        assert (a | ab.empty_set()) == a
 
     def test_union_absorption(self, ab):
-        assert unite(ab.full_set(), ab.singleton("B")) == ab.full_set()
-
-    def test_operators_delegate(self, ab):
-        a, b = ab.singleton("A"), ab.singleton("B")
-        assert (a & b) == intersect(a, b)
-        assert (a | b) == unite(a, b)
+        assert (ab.full_set() | ab.singleton("B")) == ab.full_set()
 
     def test_frame_mismatch(self, ab):
         other = make_frame(["A", "C"])
         with pytest.raises(ValidationError):
-            intersect(ab.singleton("A"), other.singleton("A"))
+            ab.singleton("A") & other.singleton("A")
         with pytest.raises(ValidationError):
-            unite(ab.singleton("A"), other.singleton("A"))
+            ab.singleton("A") | other.singleton("A")
 
     def test_bits_out_of_range(self, ab):
         with pytest.raises(ValidationError):
@@ -165,7 +158,7 @@ def frame_and_two_sets(draw):
 @given(frame_and_two_sets())
 def test_intersection_contained_in_both(case):
     _, a, b = case
-    both = intersect(a, b)
+    both = a & b
     assert both.issubset(a)
     assert both.issubset(b)
 
@@ -173,7 +166,7 @@ def test_intersection_contained_in_both(case):
 @given(frame_and_two_sets())
 def test_operands_contained_in_union(case):
     _, a, b = case
-    joined = unite(a, b)
+    joined = a | b
     assert a.issubset(joined)
     assert b.issubset(joined)
 
@@ -183,7 +176,7 @@ def test_parse_render_round_trip(case):
     frame, a, _ = case
     if a.is_empty:
         return
-    assert parse_focal(a.render(), frame) == a
+    assert parse_focal(str(a), frame) == a
 
 
 @given(frame_and_two_sets())

@@ -19,7 +19,6 @@ from overmass.mass import (
     interval_union,
     make_mass,
     plausibility,
-    union_of_ranges,
 )
 from overmass.rules import RuleId, fuse
 
@@ -170,7 +169,7 @@ class TestMassFunction:
     def test_focal_sets_excludes_empty(self, ab):
         m = MassFunction(ab, {ab.empty_set(): 0.2, ab.singleton("B"): 0.8}, CLASSICAL_RANGE)
         assert m.focal_sets() == (ab.singleton("B"),)
-        assert m.focal_sets(include_empty=True)[0].is_empty
+        assert next(iter(m.weights)).is_empty
 
 
 class TestWeights:
@@ -203,6 +202,13 @@ class TestWeights:
             m.weights[ab.singleton("A")] = 1.0
         with pytest.raises(TypeError):
             m.weights.bits[1] = 1.0
+        with pytest.raises(AttributeError):
+            m.weights.bits = {2: 9.0}
+        with pytest.raises(AttributeError):
+            m.weights.frame = make_frame(["A", "C"])
+        with pytest.raises(AttributeError):
+            del m.weights.bits
+        assert m.total == 1.0 and m["B"] == 0.3
 
     def test_repr_names_sets(self, m):
         assert repr(m.weights) == "Weights({'A': 0.5, 'B': 0.3, 'A|B': 0.2})"
@@ -364,9 +370,7 @@ class TestIntervalUnion:
 
     def test_fold_helper(self):
         ranges = [MassRange(0, 1.2), MassRange(-0.1, 1), MassRange(-0.05, 1.1)]
-        assert union_of_ranges(ranges) == MassRange(-0.1, 1.2)
-        with pytest.raises(ValidationError):
-            union_of_ranges([])
+        assert interval_union(*ranges) == MassRange(-0.1, 1.2)
 
 
 class TestArgmax:
