@@ -39,7 +39,7 @@ from .mass import (
     make_mass,
 )
 from .regime import assess
-from .rules import FusionReport, RuleId, average, fuse
+from .rules import FusionReport, RuleId, average, exact_fold, fuse
 
 #: Stage orders that older documents and scripts may name. Redistributing
 #: and rescaling both scale every weight uniformly, so one pipeline serves
@@ -189,11 +189,15 @@ def render_document(doc: ScenarioDocument) -> str:
 def run_pipeline(doc: ScenarioDocument) -> FusionReport:
     """Combine the document's sources with its declared pipeline.
 
-    Sources are folded left to right; pcr5 is not associative, so its fold
-    over three or more sources depends on their order. Normalization, when
-    enabled, runs once on the final pair so the target range applies to
-    the end result. With no target, fuse's default there (the union of
-    the pair's ranges) is the union of every source range, since each
+    Sources are folded left to right. Three or more sources under
+    conjunctive, dempster or total-proportional go through exact_fold: the
+    fold is computed exactly and rounded once, so its weights do not
+    depend on source order (for dempster when every source sums to
+    exactly 1), and the report's trace is empty. pcr5 is not associative
+    and stays a sequential left fold, so over three or more sources it
+    depends on their order. Normalization, when enabled, runs once on the
+    end result. With no target, the default (the union of the final
+    pair's ranges) is the union of every source range, since each
     combination carries the union of its inputs' ranges. The average rule
     takes all sources in a single call instead of folding, since the mean
     of means is not the mean.
@@ -206,6 +210,8 @@ def run_pipeline(doc: ScenarioDocument) -> FusionReport:
     spec = doc.pipeline
     if spec.rule is RuleId.AVERAGE:
         return average(masses)
+    if len(masses) > 2 and spec.rule is not RuleId.PCR5:
+        return exact_fold(masses, spec.rule, spec.target, normalize=spec.normalize)
     acc = masses[0]
     for m in masses[1:-1]:
         acc = fuse(acc, m, spec.rule, normalize=False).result
@@ -442,13 +448,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--rule", choices=[r.value for r in RuleId], help="override the document's rule"
     )
     fuse_p.add_argument("--order", choices=ORDERS, help="accepted for older scripts; ignored")
-    fuse_p.add_argument("--target", metavar="LO,HI", help="override the normalization range")
+    fuse_p.add_argument(
+        "--target", metavar="LO,HI", help="rescale onto this range; pcr5 and total-proportional only"
+    )
     fuse_p.add_argument(
         "--precision", type=_precision, default=3, help="decimals in tables (default 3)"
     )
     fuse_p.add_argument("--format", choices=["table", "csv"], default="table")
     fuse_p.add_argument(
-        "--no-normalize", action="store_true", help="skip the final rescaling stage"
+        "--no-normalize",
+        action="store_true",
+        help="skip the final rescaling stage; pcr5 and total-proportional only",
     )
     fuse_p.set_defaults(func=_cmd_fuse)
 

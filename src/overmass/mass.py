@@ -263,7 +263,11 @@ def classify_range(m: MassFunction) -> RangeClass:
 
 def classify_sum(m: MassFunction) -> SumClass:
     """Classify a mass by its weight total relative to 1 and 0."""
-    total = m.total
+    return classify_total(m.total)
+
+
+def classify_total(total: float) -> SumClass:
+    """Classify a weight total relative to 1 and 0."""
     if total > 1.0 + SUM_EPSILON:
         return SumClass.SURPLUS
     if abs(total - 1.0) <= SUM_EPSILON:

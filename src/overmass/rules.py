@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import inf, isfinite
+from math import inf, isfinite, prod
 from typing import Iterator, Sequence
 
 from .errors import RuleGuardError, ValidationError
@@ -32,6 +32,7 @@ from .mass import (
     checked_fsum,
     classify_range,
     classify_sum,
+    classify_total,
     interval_union,
 )
 
@@ -96,7 +97,7 @@ class FusionReport:
 
     conflict is the weight that fell on the empty set before any
     redistribution; normalization rescales it alongside the weights.
-    trace lists every pairwise product (empty for average).
+    trace lists every pairwise product (empty for average and exact_fold).
     divisor accumulates every rescaling applied (1 when none was).
     skipped_fractions counts conflicting products discarded because both
     source weights were zero, which makes the proportional split's
@@ -148,24 +149,30 @@ def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
     return FusionReport(result, weights.get(0, 0.0), ProductTrace(m1, m2), 1.0, RuleId.CONJUNCTIVE)
 
 
-def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
-    """Dempster's rule: conjunctive combination renormalized by 1 - k."""
-    for position, m in (("first", m1), ("second", m2)):
-        range_class = classify_range(m)
-        sum_class = classify_sum(m)
-        if range_class is not RangeClass.CLASSICAL or sum_class is not SumClass.BALANCED:
-            raise RuleGuardError(
-                "dempster requires classical masses summing to 1, but the %s input "
-                "is %s by range and %s by sum; permitted here: pcr5, "
-                "total-proportional, conjunctive (average for negative weights)"
-                % (position, range_class.value, sum_class.value)
-            )
-    base = conjunctive(m1, m2)
-    k = base.conflict
+def _require_dempster_input(position: str, range_class: RangeClass, sum_class: SumClass) -> None:
+    if range_class is not RangeClass.CLASSICAL or sum_class is not SumClass.BALANCED:
+        raise RuleGuardError(
+            "dempster requires classical masses summing to 1, but the %s input "
+            "is %s by range and %s by sum; permitted here: pcr5, "
+            "total-proportional, conjunctive (average for negative weights)"
+            % (position, range_class.value, sum_class.value)
+        )
+
+
+def _require_renormalizable(k: float) -> None:
     if k >= 1.0 - SUM_EPSILON:
         raise RuleGuardError(
             "conflict k=%r leaves nothing to renormalize; dempster is undefined" % k
         )
+
+
+def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
+    """Dempster's rule: conjunctive combination renormalized by 1 - k."""
+    for position, m in (("first", m1), ("second", m2)):
+        _require_dempster_input(position, classify_range(m), classify_sum(m))
+    base = conjunctive(m1, m2)
+    k = base.conflict
+    _require_renormalizable(k)
     scale = 1.0 - k
     weights = {b: w / scale for b, w in base.result.weights.bits.items() if b}
     result = MassFunction(m1.frame, Weights(m1.frame, weights), CLASSICAL_RANGE)
@@ -245,6 +252,14 @@ def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
     )
 
 
+def _unabsorbable(k: float, focal_total: float) -> RuleGuardError:
+    if focal_total <= 0.0:
+        return RuleGuardError("no positive focal weight to absorb conflict %r onto" % k)
+    return RuleGuardError(
+        "conflict %r over focal total %r overflows the redistribution factor" % (k, focal_total)
+    )
+
+
 def total_proportional(report: FusionReport) -> FusionReport:
     """Redistribute the empty-set weight over all focal sets pro rata.
 
@@ -260,14 +275,10 @@ def total_proportional(report: FusionReport) -> FusionReport:
         return replace(report, rule=RuleId.TOTAL_PROPORTIONAL)
     focal_total = result.focal_total
     if focal_total <= 0.0:
-        raise RuleGuardError(
-            "no positive focal weight to absorb conflict %r onto" % k
-        )
+        raise _unabsorbable(k, focal_total)
     factor = 1.0 + k / focal_total
     if not isfinite(factor):
-        raise RuleGuardError(
-            "conflict %r over focal total %r overflows the redistribution factor" % (k, focal_total)
-        )
+        raise _unabsorbable(k, focal_total)
     weights = {b: w * factor for b, w in result.weights.bits.items() if b}
     redistributed = MassFunction(result.frame, Weights(result.frame, weights), result.range)
     return replace(report, result=redistributed, rule=RuleId.TOTAL_PROPORTIONAL)
@@ -323,3 +334,231 @@ def fuse(
     if not normalize:
         return report
     return over_normalize(report, target or interval_union(m1.range, m2.range))
+
+
+def exact_fold(
+    masses: Sequence[MassFunction],
+    rule: RuleId,
+    target: MassRange | None = None,
+    *,
+    normalize: bool = True,
+) -> FusionReport:
+    """The left fold of fuse over masses, in exact arithmetic, rounded once.
+
+    For conjunctive, dempster and total-proportional. Every double is an
+    integer over a power of two, so the n-ary conjunctive combination is
+    exact in Python ints; result, conflict and divisor are the exact
+    values of the left fold, each rounded once, so the weights do not
+    depend on the order of the masses (for dempster, when every mass sums
+    to exactly 1). trace is empty. The guards of each fold step apply to
+    its exact values; negative weights and Dempster's input conditions
+    are checked on every mass first. total-proportional then rescales as
+    fuse does.
+    """
+    pool = tuple(masses)
+    if len(pool) < 2:
+        raise ValidationError("a fold needs at least two masses, got %d" % len(pool))
+    if rule not in (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL):
+        raise ValidationError("exact_fold takes conjunctive, dempster or total-proportional, not %s" % rule.value)
+    if rule is RuleId.DEMPSTER:
+        for i, m in enumerate(pool):
+            _require_dempster_input("second" if i else "first", classify_range(m), classify_sum(m))
+    for m in pool[1:]:
+        _check_pair(pool[0], m)
+    scaled = [_scaled(m) for m in pool]
+    sources = [numerators for numerators, _ in scaled]
+    width = len(pool[0].frame)
+    combine = _dense_conjunctive if _dense_is_cheaper(sources, width) else _sparse_conjunctive
+    report = _fold_report(pool, rule, scaled, *combine(sources, width))
+    if rule is not RuleId.TOTAL_PROPORTIONAL or not normalize:
+        return report
+    return over_normalize(report, target or report.result.range)
+
+
+def _scaled(m: MassFunction) -> tuple[dict[int, int], int]:
+    """m's weights as integer numerators over one power of two, and that denominator."""
+    bits = m.weights.bits
+    ratios = [w.as_integer_ratio() for w in bits.values()]
+    den = max([d for _, d in ratios], default=1)
+    return dict(zip(bits, [n * (den // d) for n, d in ratios])), den
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den correctly rounded; a value beyond the float range is a ValidationError."""
+    try:
+        return num / den
+    except OverflowError:
+        raise ValidationError("fused weight beyond the float range") from None
+
+
+def _dense_is_cheaper(sources: Sequence[dict[int, int]], width: int) -> bool:
+    """Whether the commonality transforms cost less than the pairwise products.
+
+    The products take one Python loop step per pair of reached set and
+    focal set, and a prefix reaches at most 2**width sets. The transforms
+    take width * 2**(width - 1) bigint steps a source, plus the inverse,
+    run as slices. Timed on 2 to 12 labels with 3 and 5 sources, the two
+    paths break even where the product count is about
+    (sources + 1) * width * 2**width.
+    """
+    size = 1 << width
+    reached = len(sources[0])
+    products = 0
+    for source in sources[1:]:
+        products += reached * len(source)
+        reached = min(reached * len(source), size)
+    return products > (len(sources) + 1) * width * size
+
+
+def _sparse_conjunctive(sources: Sequence[dict[int, int]], width: int) -> tuple[dict[int, int], list[int]]:
+    """The exact n-ary conjunctive by pairwise products, left to right.
+
+    Returns the numerator of every reached set (a key also when only zero
+    products reach it) and, for each prefix of two or more sources, the
+    numerator of its empty-set weight.
+    """
+    acc = sources[0]
+    empties = []
+    for source in sources[1:]:
+        combined: defaultdict[int, int] = defaultdict(int)
+        second = tuple(source.items())
+        for x, a in acc.items():
+            for y, b in second:
+                combined[x & y] += a * b
+        acc = combined
+        empties.append(acc.get(0, 0))
+    return dict(acc), empties
+
+
+def _dense_conjunctive(sources: Sequence[dict[int, int]], width: int) -> tuple[dict[int, int], list[int]]:
+    """The same as _sparse_conjunctive, through commonalities: q = q_1 * ... * q_n.
+
+    A set is reached when some choice of one focal set a source meets
+    exactly there. With every weight nonzero, that is when its exact weight
+    is; otherwise a 0/1 count of those choices takes the same transforms.
+    """
+    weights, empties = _commonality_product(sources, width)
+    if all(all(source.values()) for source in sources):
+        return {b: w for b, w in enumerate(weights) if w}, empties
+    counts, _ = _commonality_product([dict.fromkeys(source, 1) for source in sources], width)
+    return {b: weights[b] for b, c in enumerate(counts) if c}, empties
+
+
+def _commonality_product(sources: Sequence[dict[int, int]], width: int) -> tuple[list[int], list[int]]:
+    """The Möbius inverse of the product of the sources' commonalities, and each prefix's m(∅)."""
+    size = 1 << width
+    product: list[int] | None = None
+    empties = []
+    for source in sources:
+        q = [0] * size
+        for b, n in source.items():
+            q[b] = n
+        _superset_sums(q, width, _sums)
+        if product is None:
+            product = q
+            continue
+        product = [a * b for a, b in zip(product, q)]
+        empties.append(_empty_weight(product))
+    return _superset_sums(product, width, _differences), empties
+
+
+def _empty_weight(commonalities: list[int]) -> int:
+    """m(∅), the sum of (-1)**|A| q(A) over every set A: one label at a time, highest first."""
+    q = commonalities
+    while len(q) > 1:
+        half = len(q) >> 1
+        q = [a - b for a, b in zip(q[:half], q[half:])]
+    return q[0]
+
+
+def _sums(xs: list[int], ys: list[int]) -> list[int]:
+    return [x + y for x, y in zip(xs, ys)]
+
+
+def _differences(xs: list[int], ys: list[int]) -> list[int]:
+    return [x - y for x, y in zip(xs, ys)]
+
+
+def _superset_sums(values: list[int], width: int, combine) -> list[int]:
+    """Combine each entry with the entries of its supersets, one label at a time, in place.
+
+    With _sums this is the zeta transform, q(A) = sum of m(B) over B ⊇ A;
+    with _differences it is its inverse, the Möbius transform.
+    """
+    size = len(values)
+    for label in range(width):
+        step = 1 << label
+        span = step << 1
+        # Entries without the label against their partners with it, in
+        # whichever takes fewer slices: strided runs or contiguous blocks.
+        if step * span <= size:
+            for low in range(step):
+                values[low::span] = combine(values[low::span], values[low + step::span])
+        else:
+            for base in range(0, size, span):
+                mid = base + step
+                values[base:mid] = combine(values[base:mid], values[mid:base + span])
+    return values
+
+
+def _fold_report(
+    pool: Sequence[MassFunction],
+    rule: RuleId,
+    scaled: Sequence[tuple[dict[int, int], int]],
+    numerators: dict[int, int],
+    empties: Sequence[int],
+) -> FusionReport:
+    """The report of the left fold, from the exact n-ary conjunctive of the scaled masses.
+
+    Prefix i (the first i masses) has grand total G_i = g/den and
+    empty-set weight E_i = e/den, den being the product of the first i
+    denominators; the first mass enters the fold as it is, so its e is 0.
+    Mass i has total T_i. Dempster's accumulator is the prefix's nonempty
+    part over D_i = D_{i-1} - E_i + E_{i-1}*T_i (D_1 = 1), and its step
+    conflict is (E_i - E_{i-1}*T_i)/D_{i-1}. total-proportional's is the
+    nonempty part times G_i/(G_i - E_i), and its step conflict is that
+    factor of the previous prefix times E_i - E_{i-1}*T_i.
+    """
+    frame = pool[0].frame
+    if rule is RuleId.CONJUNCTIVE:
+        den = prod(d for _, d in scaled)
+        weights = {b: _quotient(n, den) for b, n in numerators.items()}
+        result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
+        return FusionReport(result, weights.get(0, 0.0), (), 1.0, rule)
+    first, den = scaled[0]
+    g = sum(first.values())
+    e = 0
+    d = den
+    k = divisor = 0.0
+    for i, ((source, step), e_next) in enumerate(zip(scaled[1:], empties)):
+        t = sum(source.values())
+        g_next = g * t
+        if rule is RuleId.DEMPSTER:
+            if i:
+                total = _quotient(g - e, d)
+                _require_dempster_input("first", RangeClass.CLASSICAL, classify_total(total))
+            k = _quotient(e_next - e * t, d * step)
+            _require_renormalizable(k)
+            d_next = d * step - e_next + e * t
+            divisor = _quotient(d_next, d * step)
+            d = d_next
+        else:
+            k_num = g * (e_next - e * t) if g != e else 0
+            k = _quotient(k_num, (g - e) * den * step) if k_num else 0.0
+            if k_num:
+                if g_next == e_next:
+                    raise _unabsorbable(k, 0.0)
+                try:
+                    (g_next - e * t) / (g_next - e_next)  # the redistribution factor
+                except OverflowError:
+                    focal_total = _quotient(g * (g_next - e_next), (g - e) * den * step)
+                    raise _unabsorbable(k, focal_total) from None
+        g, e, den = g_next, e_next, den * step
+    if rule is RuleId.DEMPSTER:
+        weights = {b: _quotient(n, d) for b, n in numerators.items() if b}
+        result = MassFunction(frame, Weights(frame, weights), CLASSICAL_RANGE)
+        return FusionReport(result, k, (), divisor, rule)
+    scale = (g - e) * den
+    weights = {b: _quotient(n * g, scale) if scale else 0.0 for b, n in numerators.items() if b}
+    result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
+    return FusionReport(result, k, (), 1.0, rule)

@@ -6,10 +6,12 @@ import sys
 import pytest
 
 import overmass
+from fold_reference import fraction_left_fold
 from overmass.cli import (
     ORDERS,
     PipelineSpec,
     ScenarioDocument,
+    build_parser,
     load_document,
     main,
     render_csv,
@@ -20,7 +22,7 @@ from overmass.cli import (
 )
 from overmass.errors import ParseError, RuleGuardError, ValidationError
 from overmass.mass import MassRange, interval_union
-from overmass.rules import RuleId, fuse
+from overmass.rules import RuleId, fuse, over_normalize
 
 
 def doc_text(frame=("A", "B"), sources=None, pipeline=None):
@@ -244,18 +246,26 @@ class TestRunPipeline:
                 )
 
     def test_three_sources_fold_left(self):
-        cases = [(CLASSICAL_SOURCES, rule, [0, 1.2])
-                 for rule in (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.PCR5,
-                              RuleId.TOTAL_PROPORTIONAL)]
         # Without a target the default is the union of every source range.
-        cases += [(MIXED_THREE_SOURCES, rule, None)
-                  for rule in (RuleId.PCR5, RuleId.TOTAL_PROPORTIONAL)]
-        for sources, rule, target in cases:
-            doc = load_document(doc_text(sources=sources, pipeline={"rule": rule.value, "target": target}))
+        cases = [(CLASSICAL_SOURCES, [0, 1.2]), (MIXED_THREE_SOURCES, None)]
+        for sources, target in cases:
+            doc = load_document(doc_text(sources=sources, pipeline={"rule": "pcr5", "target": target}))
             m1, m2, m3 = (s.mass for s in doc.sources)
             target = MassRange(*target) if target else interval_union(m1.range, m2.range, m3.range)
-            first = fuse(m1, m2, rule, target=target, normalize=False)
-            assert run_pipeline(doc) == fuse(first.result, m3, rule, target=target)
+            first = fuse(m1, m2, RuleId.PCR5, target=target, normalize=False)
+            assert run_pipeline(doc) == fuse(first.result, m3, RuleId.PCR5, target=target)
+
+    def test_three_sources_fold_exactly(self):
+        cases = [(CLASSICAL_SOURCES, rule, [0, 1.2])
+                 for rule in (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)]
+        cases.append((MIXED_THREE_SOURCES, RuleId.TOTAL_PROPORTIONAL, None))
+        for sources, rule, target in cases:
+            doc = load_document(doc_text(sources=sources, pipeline={"rule": rule.value, "target": target}))
+            masses = [s.mass for s in doc.sources]
+            want = fraction_left_fold(masses, rule)
+            if rule is RuleId.TOTAL_PROPORTIONAL:
+                want = over_normalize(want, MassRange(*target) if target else interval_union(*(m.range for m in masses)))
+            assert run_pipeline(doc) == want
 
 
 class TestRendering:
@@ -383,6 +393,15 @@ class TestMainExitCodes:
         assert main(["fuse", "--input", path, "--precision", "2"]) == 0
         assert capsys.readouterr().out == out
 
+    def test_rescaling_flags_name_their_rules(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # argparse wraps at hyphens
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fuse", "--help"])
+        options = " ".join(capsys.readouterr().out.split()).split(" options: ", 1)[1]
+        for flag in ("--target LO,HI ", "--no-normalize "):
+            entry = options.split(flag, 1)[1].split(" --", 1)[0]
+            assert entry.endswith("pcr5 and total-proportional only"), entry
+
     def test_unknown_order_flag_rejected(self, tmp_path, capsys):
         path = self.write(tmp_path, doc_text())
         with pytest.raises(SystemExit) as exc:
@@ -489,6 +508,18 @@ class TestEntryPoints:
         assert proc.returncode == 0
         for command in ("fuse", "classify", "belpl", "paper-examples"):
             assert command in proc.stdout
+
+    def test_exact_fold_loads_no_rational_modules(self):
+        proc = run_child(
+            "-c",
+            "import sys, overmass; "
+            "f = overmass.make_frame(['A', 'B']); "
+            "m = overmass.make_mass(f, {'A': 0.6, 'A|B': 0.4}, overmass.CLASSICAL_RANGE); "
+            "overmass.rules.exact_fold([m, m, m], overmass.RuleId.DEMPSTER); "
+            "print(sorted({'decimal', 'fractions'} & set(sys.modules)))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_library_import_leaves_cli_unloaded(self):
         proc = run_child(

@@ -1,0 +1,184 @@
+"""exact_fold: conjunctive, Dempster and total-proportional over three or more sources, exact and rounded once."""
+
+import json
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fold_reference import fraction_left_fold
+from overmass import rules
+from overmass.cli import main
+from overmass.errors import RuleGuardError, ValidationError
+from overmass.frame import make_frame
+from overmass.mass import CLASSICAL_RANGE, MassFunction, MassRange, Weights, make_mass
+from overmass.rules import RuleId, exact_fold, fuse, over_normalize
+
+LABELS = "ABCDEF"
+FOLDED = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
+
+
+@st.composite
+def source_lists(draw, rule, max_labels=6):
+    """3 to 5 masses on one frame; zero weights except under Dempster, whose masses sum to 1."""
+    n = draw(st.integers(min_value=2, max_value=max_labels))
+    frame = make_frame(LABELS[:n])
+    full = (1 << n) - 1
+    masses = []
+    for _ in range(draw(st.integers(min_value=3, max_value=5))):
+        sets = draw(st.lists(st.integers(min_value=1, max_value=full), min_size=1, max_size=8, unique=True))
+        weight = st.floats(min_value=0.001, max_value=1.0)
+        if rule is not RuleId.DEMPSTER:
+            weight = st.one_of(st.just(0.0), weight)
+        weights = [draw(weight) for _ in sets]
+        if rule is RuleId.DEMPSTER:
+            total = sum(weights)
+            weights = [w / total for w in weights]
+        mass_range = CLASSICAL_RANGE if rule is RuleId.DEMPSTER else MassRange(0.0, 1.5)
+        masses.append(MassFunction(frame, Weights(frame, dict(zip(sets, weights))), mass_range))
+    return masses
+
+
+def outcome(fold):
+    try:
+        return fold()
+    except RuleGuardError:
+        return RuleGuardError
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_equals_the_fraction_left_fold_rounded_once(data):
+    rule = data.draw(st.sampled_from(FOLDED))
+    masses = data.draw(source_lists(rule))
+    want = outcome(lambda: fraction_left_fold(masses, rule))
+    assert outcome(lambda: exact_fold(masses, rule, normalize=False)) == want
+    if rule is RuleId.TOTAL_PROPORTIONAL and want is not RuleGuardError:
+        assert outcome(lambda: exact_fold(masses, rule)) == outcome(lambda: over_normalize(want, want.result.range))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_weights_do_not_depend_on_source_order(data):
+    for rule in (RuleId.CONJUNCTIVE, RuleId.TOTAL_PROPORTIONAL):
+        masses = data.draw(source_lists(rule, max_labels=4))
+        for normalize in (False, True):
+            seen = {
+                outcome(lambda: tuple(exact_fold(order, rule, normalize=normalize).result.weights.bits.items()))
+                for order in permutations(masses)
+            }
+            # A mass of total 0 zeroes the fold from its step on, so whether a
+            # step is refused for total conflict first can depend on order.
+            seen.discard(RuleGuardError)
+            assert len(seen) <= 1
+
+
+def scaled_paths(masses):
+    scaled = [rules._scaled(m) for m in masses]
+    sources = [numerators for numerators, _ in scaled]
+    width = len(masses[0].frame)
+    return scaled, rules._dense_conjunctive(sources, width), rules._sparse_conjunctive(sources, width)
+
+
+def test_dense_and_sparse_paths_give_identical_reports():
+    abc = make_frame(["A", "B", "C"])
+    # A is reached only through the zero weight on it: A ∩ A|B ∩ A|B|C.
+    masses = [
+        make_mass(abc, {"A": 0.0, "B": 0.6, "C": 0.4}, CLASSICAL_RANGE),
+        make_mass(abc, {"A|B": 0.5, "C": 0.5}, CLASSICAL_RANGE),
+        make_mass(abc, {"A|B|C": 0.8, "B|C": 0.2}, CLASSICAL_RANGE),
+    ]
+    scaled, dense, sparse = scaled_paths(masses)
+    assert dense == sparse
+    assert dense[0][0b001] == 0
+    for rule in FOLDED:
+        report = rules._fold_report(masses, rule, scaled, *dense)
+        assert report == rules._fold_report(masses, rule, scaled, *sparse)
+        assert report.result.weights.bits[0b001] == 0.0
+        left = fuse(fuse(masses[0], masses[1], rule, normalize=False).result, masses[2], rule, normalize=False)
+        assert report.result.weights.bits.keys() == left.result.weights.bits.keys()
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_dense_and_sparse_paths_agree(data):
+    masses = data.draw(source_lists(data.draw(st.sampled_from(FOLDED))))
+    scaled, dense, sparse = scaled_paths(masses)
+    assert dense == sparse
+
+
+class TestGuards:
+    ab = make_frame(["A", "B"])
+
+    def fold(self, rule, *assignments, mass_range=CLASSICAL_RANGE):
+        return exact_fold([make_mass(self.ab, a, mass_range) for a in assignments], rule)
+
+    def test_dempster_total_conflict_at_a_step(self):
+        with pytest.raises(RuleGuardError, match="leaves nothing to renormalize"):
+            self.fold(RuleId.DEMPSTER, {"A": 1.0}, {"B": 1.0}, {"A|B": 1.0})
+
+    def test_dempster_accumulator_must_stay_balanced(self):
+        # Each source is within SUM_EPSILON of 1; after one step the accumulator is not.
+        surplus = {"A": 0.5, "B": 0.5 + 0.9e-9}
+        with pytest.raises(RuleGuardError, match="the first input is classical by range and surplus by sum"):
+            self.fold(RuleId.DEMPSTER, surplus, surplus, {"A|B": 1.0})
+
+    def test_every_source_checked_before_the_fold(self):
+        with pytest.raises(RuleGuardError, match="the second input is over by range"):
+            exact_fold(
+                [make_mass(self.ab, {"A": 1.0}, CLASSICAL_RANGE), make_mass(self.ab, {"B": 1.0}, CLASSICAL_RANGE),
+                 make_mass(self.ab, {"A|B": 1.0}, MassRange(0, 1.5))],
+                RuleId.DEMPSTER,
+            )
+        for rule in FOLDED:
+            with pytest.raises(RuleGuardError, match="negative weights"):
+                self.fold(rule, {"A": 0.5}, {"A": 0.5}, {"A": -0.1, "B": 0.5}, mass_range=MassRange(-0.2, 1))
+
+    def test_total_proportional_needs_focal_weight_at_every_step(self):
+        with pytest.raises(RuleGuardError, match="no positive focal weight to absorb conflict 1.0"):
+            self.fold(RuleId.TOTAL_PROPORTIONAL, {"A": 1.0}, {"B": 1.0}, {"A|B": 1.0})
+
+    def test_total_proportional_factor_overflow_at_a_step(self):
+        abc = make_frame(["A", "B", "C"])
+        masses = [
+            make_mass(abc, {"B": 2.225073858507e-311, "A|C": 1.0}, MassRange(0, 1.5)),
+            make_mass(abc, {"B": 1.0}, MassRange(0, 1.5)),
+            make_mass(abc, {"A|B|C": 1.0}, MassRange(0, 1.5)),
+        ]
+        with pytest.raises(RuleGuardError, match=r"conflict 1\.0 over focal total 2\.225073858507e-311"):
+            exact_fold(masses, RuleId.TOTAL_PROPORTIONAL)
+
+    def test_other_rules_and_single_masses_rejected(self):
+        m = make_mass(self.ab, {"A": 1.0}, CLASSICAL_RANGE)
+        for rule in (RuleId.PCR5, RuleId.AVERAGE):
+            with pytest.raises(ValidationError):
+                exact_fold([m, m, m], rule)
+        with pytest.raises(ValidationError):
+            exact_fold([m], RuleId.CONJUNCTIVE)
+
+
+def overflow_document(*weights, rule):
+    sources = [{"range": [0, 1e300], "masses": {"A": w}} for w in weights]
+    return json.dumps({"frame": ["A", "B"], "sources": sources, "pipeline": {"rule": rule}})
+
+
+@pytest.mark.parametrize("rule", ["conjunctive", "total-proportional"])
+def test_intermediate_overflow_no_longer_fails(tmp_path, capsys, rule):
+    # The left fold in floats overflowed at 1e200 * 1e200; the exact fold does not.
+    path = tmp_path / "doc.json"
+    path.write_text(overflow_document(1e200, 1e200, 1e-200, rule=rule), encoding="utf-8")
+    assert main(["fuse", "--input", str(path), "--precision", "0"]) == 0
+    head, body = capsys.readouterr().out.splitlines()[:2]
+    assert head.split()[0] == "A"
+    assert float(body.split()[0]) == pytest.approx(1e200 if rule == "conjunctive" else 1e300, rel=1e-12)
+
+
+@pytest.mark.parametrize("rule", ["conjunctive", "total-proportional"])
+def test_overflowing_result_is_a_validation_error(tmp_path, capsys, rule):
+    path = tmp_path / "doc.json"
+    path.write_text(overflow_document(1e200, 1e200, 1e200, rule=rule), encoding="utf-8")
+    assert main(["fuse", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beyond the float range" in captured.err

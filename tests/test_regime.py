@@ -132,7 +132,7 @@ class TestAssessFusion:
         report = conjunctive(m1, m2)  # conflict 0.45
         assert "warning" not in assess_fusion(report).rationale
 
-    def test_threshold_is_overridable(self, ab):
+    def test_threshold_is_the_documented_constant(self, ab):
         assert CONFLICT_WARNING_THRESHOLD == 0.5
 
     def test_dempster_report_mentions_divisor(self, ab):
