@@ -22,6 +22,8 @@ violation, 4 golden comparison mismatch.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -189,18 +191,18 @@ def render_document(doc: ScenarioDocument) -> str:
 def run_pipeline(doc: ScenarioDocument) -> FusionReport:
     """Combine the document's sources with its declared pipeline.
 
-    Sources are folded left to right. Three or more sources under
-    conjunctive, dempster or total-proportional go through exact_fold: the
-    fold is computed exactly and rounded once, so its weights do not
-    depend on source order (for dempster when every source sums to
-    exactly 1), and the report's trace is empty. pcr5 is not associative
-    and stays a sequential left fold, so over three or more sources it
-    depends on their order. Normalization, when enabled, runs once on the
-    end result. With no target, the default (the union of the final
-    pair's ranges) is the union of every source range, since each
-    combination carries the union of its inputs' ranges. The average rule
-    takes all sources in a single call instead of folding, since the mean
-    of means is not the mean.
+    Three or more sources under conjunctive, dempster or
+    total-proportional go through exact_fold: the n-ary combination is
+    computed exactly and each field rounded once, so no field of the
+    report depends on source order; the conflict is the n-ary empty-set
+    weight, dempster's divisor is 1 - conflict, and the trace is empty.
+    pcr5 is not associative and stays a sequential left fold, so over
+    three or more sources it depends on their order. Normalization, when
+    enabled, runs once on the end result. With no target, the default
+    (the union of the final pair's ranges) is the union of every source
+    range, since each combination carries the union of its inputs'
+    ranges. The average rule takes all sources in a single call instead
+    of folding, since the mean of means is not the mean.
     """
     if len(doc.sources) < 2:
         raise ValidationError(
@@ -235,8 +237,10 @@ def render_table(report: FusionReport, precision: int = 3) -> str:
 
 
 def render_csv(report: FusionReport, precision: int = 3) -> str:
-    headers, cells = _columns(report, precision)
-    return ",".join(headers) + "\n" + ",".join(cells)
+    """The table's two rows as CSV records; a label holding a comma, quote or newline is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(_columns(report, precision))
+    return out.getvalue()[:-1]
 
 
 #: The bundled worked examples: a title, the rule, two strict sources as

@@ -263,11 +263,7 @@ def classify_range(m: MassFunction) -> RangeClass:
 
 def classify_sum(m: MassFunction) -> SumClass:
     """Classify a mass by its weight total relative to 1 and 0."""
-    return classify_total(m.total)
-
-
-def classify_total(total: float) -> SumClass:
-    """Classify a weight total relative to 1 and 0."""
+    total = m.total
     if total > 1.0 + SUM_EPSILON:
         return SumClass.SURPLUS
     if abs(total - 1.0) <= SUM_EPSILON:

@@ -32,7 +32,6 @@ from .mass import (
     checked_fsum,
     classify_range,
     classify_sum,
-    classify_total,
     interval_union,
 )
 
@@ -96,9 +95,11 @@ class FusionReport:
     """A combined mass with its audit fields.
 
     conflict is the weight that fell on the empty set before any
-    redistribution; normalization rescales it alongside the weights.
+    redistribution (for exact_fold, the empty-set weight of the n-ary
+    conjunctive); normalization rescales it alongside the weights.
     trace lists every pairwise product (empty for average and exact_fold).
-    divisor accumulates every rescaling applied (1 when none was).
+    divisor accumulates every rescaling applied (1 when none was), so
+    Dempster's is 1 - conflict however many masses it combined.
     skipped_fractions counts conflicting products discarded because both
     source weights were zero, which makes the proportional split's
     denominator zero; such products are themselves zero, so conservation
@@ -149,7 +150,9 @@ def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
     return FusionReport(result, weights.get(0, 0.0), ProductTrace(m1, m2), 1.0, RuleId.CONJUNCTIVE)
 
 
-def _require_dempster_input(position: str, range_class: RangeClass, sum_class: SumClass) -> None:
+def _require_dempster_input(position: str, m: MassFunction) -> None:
+    range_class = classify_range(m)
+    sum_class = classify_sum(m)
     if range_class is not RangeClass.CLASSICAL or sum_class is not SumClass.BALANCED:
         raise RuleGuardError(
             "dempster requires classical masses summing to 1, but the %s input "
@@ -169,7 +172,7 @@ def _require_renormalizable(k: float) -> None:
 def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
     """Dempster's rule: conjunctive combination renormalized by 1 - k."""
     for position, m in (("first", m1), ("second", m2)):
-        _require_dempster_input(position, classify_range(m), classify_sum(m))
+        _require_dempster_input(position, m)
     base = conjunctive(m1, m2)
     k = base.conflict
     _require_renormalizable(k)
@@ -343,17 +346,17 @@ def exact_fold(
     *,
     normalize: bool = True,
 ) -> FusionReport:
-    """The left fold of fuse over masses, in exact arithmetic, rounded once.
+    """The n-ary combination of masses in exact arithmetic, each field rounded once.
 
     For conjunctive, dempster and total-proportional. Every double is an
     integer over a power of two, so the n-ary conjunctive combination is
-    exact in Python ints; result, conflict and divisor are the exact
-    values of the left fold, each rounded once, so the weights do not
-    depend on the order of the masses (for dempster, when every mass sums
-    to exactly 1). trace is empty. The guards of each fold step apply to
-    its exact values; negative weights and Dempster's input conditions
-    are checked on every mass first. total-proportional then rescales as
-    fuse does.
+    exact in Python ints. Its empty-set weight is the conflict; dempster
+    renormalizes the rest by 1 - conflict, which is its divisor, and
+    total-proportional spreads the conflict over the focal sets pro rata.
+    So every field of the report, and whether the rule refuses, is the
+    same in any order of the masses. trace is empty. Negative weights and
+    Dempster's input conditions are checked on every mass first.
+    total-proportional then rescales as fuse does.
     """
     pool = tuple(masses)
     if len(pool) < 2:
@@ -362,14 +365,14 @@ def exact_fold(
         raise ValidationError("exact_fold takes conjunctive, dempster or total-proportional, not %s" % rule.value)
     if rule is RuleId.DEMPSTER:
         for i, m in enumerate(pool):
-            _require_dempster_input("second" if i else "first", classify_range(m), classify_sum(m))
+            _require_dempster_input("second" if i else "first", m)
     for m in pool[1:]:
         _check_pair(pool[0], m)
     scaled = [_scaled(m) for m in pool]
     sources = [numerators for numerators, _ in scaled]
     width = len(pool[0].frame)
     combine = _dense_conjunctive if _dense_is_cheaper(sources, width) else _sparse_conjunctive
-    report = _fold_report(pool, rule, scaled, *combine(sources, width))
+    report = _fold_report(pool, rule, combine(sources, width), prod(d for _, d in scaled))
     if rule is not RuleId.TOTAL_PROPORTIONAL or not normalize:
         return report
     return over_normalize(report, target or report.result.range)
@@ -410,15 +413,13 @@ def _dense_is_cheaper(sources: Sequence[dict[int, int]], width: int) -> bool:
     return products > (len(sources) + 1) * width * size
 
 
-def _sparse_conjunctive(sources: Sequence[dict[int, int]], width: int) -> tuple[dict[int, int], list[int]]:
+def _sparse_conjunctive(sources: Sequence[dict[int, int]], width: int) -> dict[int, int]:
     """The exact n-ary conjunctive by pairwise products, left to right.
 
-    Returns the numerator of every reached set (a key also when only zero
-    products reach it) and, for each prefix of two or more sources, the
-    numerator of its empty-set weight.
+    Returns the numerator of every reached set, a key also when only zero
+    products reach it.
     """
     acc = sources[0]
-    empties = []
     for source in sources[1:]:
         combined: defaultdict[int, int] = defaultdict(int)
         second = tuple(source.items())
@@ -426,49 +427,34 @@ def _sparse_conjunctive(sources: Sequence[dict[int, int]], width: int) -> tuple[
             for y, b in second:
                 combined[x & y] += a * b
         acc = combined
-        empties.append(acc.get(0, 0))
-    return dict(acc), empties
+    return dict(acc)
 
 
-def _dense_conjunctive(sources: Sequence[dict[int, int]], width: int) -> tuple[dict[int, int], list[int]]:
+def _dense_conjunctive(sources: Sequence[dict[int, int]], width: int) -> dict[int, int]:
     """The same as _sparse_conjunctive, through commonalities: q = q_1 * ... * q_n.
 
     A set is reached when some choice of one focal set a source meets
     exactly there. With every weight nonzero, that is when its exact weight
     is; otherwise a 0/1 count of those choices takes the same transforms.
     """
-    weights, empties = _commonality_product(sources, width)
+    weights = _commonality_product(sources, width)
     if all(all(source.values()) for source in sources):
-        return {b: w for b, w in enumerate(weights) if w}, empties
-    counts, _ = _commonality_product([dict.fromkeys(source, 1) for source in sources], width)
-    return {b: weights[b] for b, c in enumerate(counts) if c}, empties
+        return {b: w for b, w in enumerate(weights) if w}
+    counts = _commonality_product([dict.fromkeys(source, 1) for source in sources], width)
+    return {b: weights[b] for b, c in enumerate(counts) if c}
 
 
-def _commonality_product(sources: Sequence[dict[int, int]], width: int) -> tuple[list[int], list[int]]:
-    """The Möbius inverse of the product of the sources' commonalities, and each prefix's m(∅)."""
+def _commonality_product(sources: Sequence[dict[int, int]], width: int) -> list[int]:
+    """The Möbius inverse of the product of the sources' commonalities."""
     size = 1 << width
     product: list[int] | None = None
-    empties = []
     for source in sources:
         q = [0] * size
         for b, n in source.items():
             q[b] = n
         _superset_sums(q, width, _sums)
-        if product is None:
-            product = q
-            continue
-        product = [a * b for a, b in zip(product, q)]
-        empties.append(_empty_weight(product))
-    return _superset_sums(product, width, _differences), empties
-
-
-def _empty_weight(commonalities: list[int]) -> int:
-    """m(∅), the sum of (-1)**|A| q(A) over every set A: one label at a time, highest first."""
-    q = commonalities
-    while len(q) > 1:
-        half = len(q) >> 1
-        q = [a - b for a, b in zip(q[:half], q[half:])]
-    return q[0]
+        product = q if product is None else [a * b for a, b in zip(product, q)]
+    return _superset_sums(product, width, _differences)
 
 
 def _sums(xs: list[int], ys: list[int]) -> list[int]:
@@ -504,61 +490,35 @@ def _superset_sums(values: list[int], width: int, combine) -> list[int]:
 def _fold_report(
     pool: Sequence[MassFunction],
     rule: RuleId,
-    scaled: Sequence[tuple[dict[int, int], int]],
     numerators: dict[int, int],
-    empties: Sequence[int],
+    den: int,
 ) -> FusionReport:
-    """The report of the left fold, from the exact n-ary conjunctive of the scaled masses.
+    """The report of the rule over pool, from the numerators of its exact n-ary conjunctive over den.
 
-    Prefix i (the first i masses) has grand total G_i = g/den and
-    empty-set weight E_i = e/den, den being the product of the first i
-    denominators; the first mass enters the fold as it is, so its e is 0.
-    Mass i has total T_i. Dempster's accumulator is the prefix's nonempty
-    part over D_i = D_{i-1} - E_i + E_{i-1}*T_i (D_1 = 1), and its step
-    conflict is (E_i - E_{i-1}*T_i)/D_{i-1}. total-proportional's is the
-    nonempty part times G_i/(G_i - E_i), and its step conflict is that
-    factor of the previous prefix times E_i - E_{i-1}*T_i.
+    With e the numerator on the empty set and g the sum of all of them,
+    the conflict is e/den for every rule. dempster divides each nonempty
+    numerator by den - e and reports the divisor (den - e)/den, that is
+    1 - conflict; total-proportional multiplies each by g/((g - e) * den),
+    which is its two-source factor 1 + k/S over den.
     """
     frame = pool[0].frame
-    if rule is RuleId.CONJUNCTIVE:
-        den = prod(d for _, d in scaled)
-        weights = {b: _quotient(n, den) for b, n in numerators.items()}
-        result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
-        return FusionReport(result, weights.get(0, 0.0), (), 1.0, rule)
-    first, den = scaled[0]
-    g = sum(first.values())
-    e = 0
-    d = den
-    k = divisor = 0.0
-    for i, ((source, step), e_next) in enumerate(zip(scaled[1:], empties)):
-        t = sum(source.values())
-        g_next = g * t
-        if rule is RuleId.DEMPSTER:
-            if i:
-                total = _quotient(g - e, d)
-                _require_dempster_input("first", RangeClass.CLASSICAL, classify_total(total))
-            k = _quotient(e_next - e * t, d * step)
-            _require_renormalizable(k)
-            d_next = d * step - e_next + e * t
-            divisor = _quotient(d_next, d * step)
-            d = d_next
-        else:
-            k_num = g * (e_next - e * t) if g != e else 0
-            k = _quotient(k_num, (g - e) * den * step) if k_num else 0.0
-            if k_num:
-                if g_next == e_next:
-                    raise _unabsorbable(k, 0.0)
-                try:
-                    (g_next - e * t) / (g_next - e_next)  # the redistribution factor
-                except OverflowError:
-                    focal_total = _quotient(g * (g_next - e_next), (g - e) * den * step)
-                    raise _unabsorbable(k, focal_total) from None
-        g, e, den = g_next, e_next, den * step
+    e = numerators.get(0, 0)
+    k = _quotient(e, den)
     if rule is RuleId.DEMPSTER:
-        weights = {b: _quotient(n, d) for b, n in numerators.items() if b}
+        _require_renormalizable(k)
+        weights = {b: _quotient(n, den - e) for b, n in numerators.items() if b}
         result = MassFunction(frame, Weights(frame, weights), CLASSICAL_RANGE)
-        return FusionReport(result, k, (), divisor, rule)
-    scale = (g - e) * den
-    weights = {b: _quotient(n * g, scale) if scale else 0.0 for b, n in numerators.items() if b}
+        return FusionReport(result, k, (), _quotient(den - e, den), rule)
+    if rule is RuleId.TOTAL_PROPORTIONAL and e:
+        g = sum(numerators.values())
+        if g == e:
+            raise _unabsorbable(k, 0.0)
+        try:
+            g / (g - e)  # the redistribution factor
+        except OverflowError:
+            raise _unabsorbable(k, _quotient(g - e, den)) from None
+        weights = {b: _quotient(n * g, (g - e) * den) for b, n in numerators.items() if b}
+    else:
+        weights = {b: _quotient(n, den) for b, n in numerators.items()}
     result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
     return FusionReport(result, k, (), 1.0, rule)

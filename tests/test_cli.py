@@ -1,12 +1,15 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 import overmass
-from fold_reference import fraction_left_fold
+from fold_reference import fraction_fold
 from overmass.cli import (
     ORDERS,
     PipelineSpec,
@@ -23,6 +26,8 @@ from overmass.cli import (
 from overmass.errors import ParseError, RuleGuardError, ValidationError
 from overmass.mass import MassRange, interval_union
 from overmass.rules import RuleId, fuse, over_normalize
+
+WILDFIRE = Path(__file__).resolve().parents[1] / "examples" / "wildfire.json"
 
 
 def doc_text(frame=("A", "B"), sources=None, pipeline=None):
@@ -262,7 +267,7 @@ class TestRunPipeline:
         for sources, rule, target in cases:
             doc = load_document(doc_text(sources=sources, pipeline={"rule": rule.value, "target": target}))
             masses = [s.mass for s in doc.sources]
-            want = fraction_left_fold(masses, rule)
+            want = fraction_fold(masses, rule)
             if rule is RuleId.TOTAL_PROPORTIONAL:
                 want = over_normalize(want, MassRange(*target) if target else interval_union(*(m.range for m in masses)))
             assert run_pipeline(doc) == want
@@ -285,6 +290,16 @@ class TestRendering:
         assert text.splitlines() == [
             "A,B,A|B,∅,sum",
             "0.686,0.496,0.018,0.000,1.200",
+        ]
+
+    def test_csv_quotes_labels_that_need_it(self):
+        frame = ["fire, north", 'say "B"', "C\nD"]
+        sources = [{"masses": {"fire, north": 0.6, 'say "B"|C\nD': 0.4}},
+                   {"masses": {"fire, north|say \"B\"": 0.7, "C\nD": 0.3}}]
+        report = run_pipeline(load_document(doc_text(frame=frame, sources=sources, pipeline={"rule": "conjunctive"})))
+        assert list(csv.reader(render_csv(report, 3).splitlines(keepends=True))) == [
+            ["fire, north", 'say "B"', "C\nD", "∅", "sum"],
+            ["0.420", "0.280", "0.120", "0.180", "1.000"],
         ]
 
     def test_average_table_low_precision(self):
@@ -334,6 +349,19 @@ class TestMainExitCodes:
         assert main(["fuse", "--input", path, "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "A,B,A|B,∅,sum"
+
+    def test_fuse_output_does_not_depend_on_source_order(self, tmp_path, capsys):
+        cases = [(("A", "B"), CLASSICAL_SOURCES, {"rule": rule})
+                 for rule in ("conjunctive", "dempster", "total-proportional")]
+        wildfire = json.loads(WILDFIRE.read_text(encoding="utf-8"))
+        cases.append((wildfire["frame"], wildfire["sources"], wildfire["pipeline"]))
+        for frame, sources, pipeline in cases:
+            outputs = set()
+            for order in permutations(sources):
+                path = self.write(tmp_path, doc_text(frame, list(order), pipeline))
+                assert main(["fuse", "--input", path, "--precision", "17"]) == 0
+                outputs.add(capsys.readouterr().out)
+            assert len(outputs) == 1, pipeline
 
     def test_fuse_rule_guard_exit(self, tmp_path, capsys):
         path = self.write(tmp_path, doc_text(sources=NEGATIVE_SOURCES))

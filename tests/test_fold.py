@@ -2,18 +2,19 @@
 
 import json
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fold_reference import fraction_left_fold
+from fold_reference import fraction_fold
 from overmass import rules
 from overmass.cli import main
 from overmass.errors import RuleGuardError, ValidationError
 from overmass.frame import make_frame
-from overmass.mass import CLASSICAL_RANGE, MassFunction, MassRange, Weights, make_mass
-from overmass.rules import RuleId, exact_fold, fuse, over_normalize
+from overmass.mass import CLASSICAL_RANGE, SUM_EPSILON, MassFunction, MassRange, Weights, make_mass
+from overmass.rules import RuleId, exact_fold, over_normalize
 
 LABELS = "ABCDEF"
 FOLDED = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
@@ -21,7 +22,7 @@ FOLDED = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
 
 @st.composite
 def source_lists(draw, rule, max_labels=6):
-    """3 to 5 masses on one frame; zero weights except under Dempster, whose masses sum to 1."""
+    """3 to 5 masses on one frame; zero weights except under Dempster, whose masses sum to 1 within SUM_EPSILON."""
     n = draw(st.integers(min_value=2, max_value=max_labels))
     frame = make_frame(LABELS[:n])
     full = (1 << n) - 1
@@ -33,7 +34,7 @@ def source_lists(draw, rule, max_labels=6):
             weight = st.one_of(st.just(0.0), weight)
         weights = [draw(weight) for _ in sets]
         if rule is RuleId.DEMPSTER:
-            total = sum(weights)
+            total = sum(weights) / (1 + draw(st.floats(min_value=-SUM_EPSILON / 2, max_value=SUM_EPSILON / 2)))
             weights = [w / total for w in weights]
         mass_range = CLASSICAL_RANGE if rule is RuleId.DEMPSTER else MassRange(0.0, 1.5)
         masses.append(MassFunction(frame, Weights(frame, dict(zip(sets, weights))), mass_range))
@@ -49,10 +50,10 @@ def outcome(fold):
 
 @settings(deadline=None)
 @given(st.data())
-def test_equals_the_fraction_left_fold_rounded_once(data):
+def test_equals_the_fraction_fold_rounded_once(data):
     rule = data.draw(st.sampled_from(FOLDED))
     masses = data.draw(source_lists(rule))
-    want = outcome(lambda: fraction_left_fold(masses, rule))
+    want = outcome(lambda: fraction_fold(masses, rule))
     assert outcome(lambda: exact_fold(masses, rule, normalize=False)) == want
     if rule is RuleId.TOTAL_PROPORTIONAL and want is not RuleGuardError:
         assert outcome(lambda: exact_fold(masses, rule)) == outcome(lambda: over_normalize(want, want.result.range))
@@ -61,17 +62,13 @@ def test_equals_the_fraction_left_fold_rounded_once(data):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_weights_do_not_depend_on_source_order(data):
-    for rule in (RuleId.CONJUNCTIVE, RuleId.TOTAL_PROPORTIONAL):
+    # Whole reports: weights, range, conflict, divisor, and whether the rule refuses.
+    for rule in FOLDED:
         masses = data.draw(source_lists(rule, max_labels=4))
         for normalize in (False, True):
-            seen = {
-                outcome(lambda: tuple(exact_fold(order, rule, normalize=normalize).result.weights.bits.items()))
-                for order in permutations(masses)
-            }
-            # A mass of total 0 zeroes the fold from its step on, so whether a
-            # step is refused for total conflict first can depend on order.
-            seen.discard(RuleGuardError)
-            assert len(seen) <= 1
+            first, *rest = [outcome(lambda: exact_fold(order, rule, normalize=normalize))
+                            for order in permutations(masses)]
+            assert all(report == first for report in rest)
 
 
 def scaled_paths(masses):
@@ -91,13 +88,12 @@ def test_dense_and_sparse_paths_give_identical_reports():
     ]
     scaled, dense, sparse = scaled_paths(masses)
     assert dense == sparse
-    assert dense[0][0b001] == 0
+    assert dense[0b001] == 0
+    den = prod(d for _, d in scaled)
     for rule in FOLDED:
-        report = rules._fold_report(masses, rule, scaled, *dense)
-        assert report == rules._fold_report(masses, rule, scaled, *sparse)
+        report = rules._fold_report(masses, rule, dense, den)
+        assert report == rules._fold_report(masses, rule, sparse, den) == fraction_fold(masses, rule)
         assert report.result.weights.bits[0b001] == 0.0
-        left = fuse(fuse(masses[0], masses[1], rule, normalize=False).result, masses[2], rule, normalize=False)
-        assert report.result.weights.bits.keys() == left.result.weights.bits.keys()
 
 
 @settings(deadline=None)
@@ -118,11 +114,18 @@ class TestGuards:
         with pytest.raises(RuleGuardError, match="leaves nothing to renormalize"):
             self.fold(RuleId.DEMPSTER, {"A": 1.0}, {"B": 1.0}, {"A|B": 1.0})
 
-    def test_dempster_accumulator_must_stay_balanced(self):
-        # Each source is within SUM_EPSILON of 1; after one step the accumulator is not.
+    def test_dempster_near_balanced_sources_fold_exactly(self):
+        # Each source is within SUM_EPSILON of 1, though a two-source step of them is not.
         surplus = {"A": 0.5, "B": 0.5 + 0.9e-9}
-        with pytest.raises(RuleGuardError, match="the first input is classical by range and surplus by sum"):
-            self.fold(RuleId.DEMPSTER, surplus, surplus, {"A|B": 1.0})
+        masses = [make_mass(self.ab, a, CLASSICAL_RANGE) for a in (surplus, surplus, {"A|B": 1.0})]
+        assert exact_fold(masses, RuleId.DEMPSTER) == fraction_fold(masses, RuleId.DEMPSTER)
+
+    def test_dempster_source_off_balance_refused_before_the_fold(self):
+        off = {"A": 0.5, "B": 0.5 + 1.1e-9}
+        for assignments in ((off, {"A": 1.0}, {"A|B": 1.0}), ({"A": 1.0}, {"A|B": 1.0}, off)):
+            position = "first" if assignments[0] is off else "second"
+            with pytest.raises(RuleGuardError, match="the %s input is classical by range and surplus by sum" % position):
+                self.fold(RuleId.DEMPSTER, *assignments)
 
     def test_every_source_checked_before_the_fold(self):
         with pytest.raises(RuleGuardError, match="the second input is over by range"):
@@ -138,6 +141,15 @@ class TestGuards:
     def test_total_proportional_needs_focal_weight_at_every_step(self):
         with pytest.raises(RuleGuardError, match="no positive focal weight to absorb conflict 1.0"):
             self.fold(RuleId.TOTAL_PROPORTIONAL, {"A": 1.0}, {"B": 1.0}, {"A|B": 1.0})
+
+    def test_total_proportional_refusal_does_not_depend_on_order(self):
+        # A source of total 0 zeroes the combination, so no order leaves conflict without focal weight.
+        masses = [make_mass(self.ab, a, MassRange(0, 1.5)) for a in ({"A": 0.0}, {"A": 1.0}, {"A": 0.0, "B": 1.0})]
+        for order in permutations(masses):
+            report = exact_fold(order, RuleId.TOTAL_PROPORTIONAL, normalize=False)
+            assert (dict(report.result.weights.bits), report.conflict, report.divisor) == ({0b01: 0.0}, 0.0, 1.0)
+            with pytest.raises(RuleGuardError, match="grand total 0.0 gives normalization divisor 0.0"):
+                exact_fold(order, RuleId.TOTAL_PROPORTIONAL)
 
     def test_total_proportional_factor_overflow_at_a_step(self):
         abc = make_frame(["A", "B", "C"])
