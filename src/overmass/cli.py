@@ -189,20 +189,19 @@ def render_document(doc: ScenarioDocument) -> str:
 
 
 def run_pipeline(doc: ScenarioDocument) -> FusionReport:
-    """Combine the document's sources with its declared pipeline.
+    """Combine the document's two or more sources with its declared pipeline.
 
-    Three or more sources under conjunctive, dempster or
-    total-proportional go through exact_fold: the n-ary combination is
-    computed exactly and each field rounded once, so no field of the
-    report depends on source order; the conflict is the n-ary empty-set
-    weight, dempster's divisor is 1 - conflict, and the trace is empty.
-    pcr5 is not associative and stays a sequential left fold, so over
-    three or more sources it depends on their order. Normalization, when
-    enabled, runs once on the end result. With no target, the default
-    (the union of the final pair's ranges) is the union of every source
-    range, since each combination carries the union of its inputs'
-    ranges. The average rule takes all sources in a single call instead
-    of folding, since the mean of means is not the mean.
+    conjunctive, dempster and total-proportional go through exact_fold:
+    the n-ary combination is computed exactly and each field rounded once,
+    so no field of the report depends on source order and a vacuous source
+    changes none; the conflict is the n-ary empty-set weight and dempster's
+    divisor is 1 - conflict. A 2-source report keeps its product trace;
+    that of three or more sources is empty. pcr5 is not associative and
+    stays a sequential left fold through fuse, so over three or more
+    sources it depends on their order. Normalization, when enabled, runs
+    once on the end result; with no target it rescales onto the union of
+    every source range. The average rule takes all sources in a single
+    call instead of folding, since the mean of means is not the mean.
     """
     if len(doc.sources) < 2:
         raise ValidationError(
@@ -212,7 +211,7 @@ def run_pipeline(doc: ScenarioDocument) -> FusionReport:
     spec = doc.pipeline
     if spec.rule is RuleId.AVERAGE:
         return average(masses)
-    if len(masses) > 2 and spec.rule is not RuleId.PCR5:
+    if spec.rule is not RuleId.PCR5:
         return exact_fold(masses, spec.rule, spec.target, normalize=spec.normalize)
     acc = masses[0]
     for m in masses[1:-1]:

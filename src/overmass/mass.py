@@ -198,7 +198,7 @@ class MassFunction:
 
     @property
     def has_negative(self) -> bool:
-        return any(w < 0.0 for w in self.weights.bits.values())
+        return min(self.weights.bits.values(), default=0.0) < 0.0
 
     def focal_sets(self) -> tuple[FocalSet, ...]:
         """Declared nonempty focal sets in ascending bitmask order."""
@@ -214,28 +214,35 @@ def make_mass(
 ) -> MassFunction:
     """Build and validate a source mass function.
 
-    String keys are parsed as focal expressions against the frame. Every
+    String keys are parsed as focal expressions against the frame; any
+    other key must be a FocalSet of the frame. Every
     weight must lie in the declared range and the empty set must carry no
     weight. With ``strict=True`` the weights must additionally sum to
     lo + hi (within SUM_EPSILON), the exact-total reading of the extended
     definitions; the lenient default accepts any in-bound weights, which
     is what sum-based diagnostics such as deficit detection need.
     """
-    resolved: dict[FocalSet, float] = {}
+    resolved: dict[int, float] = {}
     for key, w in assignments.items():
-        fs = parse_focal(key, frame) if isinstance(key, str) else key
-        if fs in resolved:
+        if isinstance(key, str):
+            fs = parse_focal(key, frame)
+        elif isinstance(key, FocalSet) and key.frame == frame:
+            fs = key
+        else:
+            raise ValidationError("mass keys must be focal expressions or FocalSets of this frame, got %r" % (key,))
+        if fs.bits in resolved:
             raise ValidationError("focal set %s assigned twice" % fs)
-        resolved[fs] = _as_float(w)
+        resolved[fs.bits] = _as_float(w)
 
-    for fs, w in resolved.items():
-        if fs.is_empty:
+    for b, w in resolved.items():
+        if not b:
             if w != 0.0:
                 raise ValidationError("source mass assigns %r to the empty set" % w)
             continue
         if not mass_range.contains(w):
             raise ValidationError(
-                "weight %r on %s outside declared range [%r, %r]" % (w, fs, mass_range.lo, mass_range.hi)
+                "weight %r on %s outside declared range [%r, %r]"
+                % (w, FocalSet(frame, b), mass_range.lo, mass_range.hi)
             )
 
     if strict:
@@ -245,7 +252,7 @@ def make_mass(
                 "strict mass must sum to lo+hi = %r, got %r" % (mass_range.total, total)
             )
 
-    return MassFunction(frame, resolved, mass_range)
+    return MassFunction(frame, Weights(frame, resolved), mass_range)
 
 
 def classify_range(m: MassFunction) -> RangeClass:

@@ -2,9 +2,12 @@
 
 Every rule returns a FusionReport: the combined mass plus the audit trail
 needed to reconstruct the numbers (pairwise product trace, conflict,
-normalization divisor). Rules are pure functions over immutable inputs,
-and iteration follows ascending bitmask order, so identical inputs yield
-bit-identical reports.
+normalization divisor). conjunctive, dempster and total-proportional have
+one implementation, exact_fold, for two or more masses: the n-ary
+conjunctive combination in exact integer arithmetic, each field rounded
+once. pcr5 is the float pairwise kernel, and average the per-set mean.
+Rules are pure functions over immutable inputs, and iteration follows
+ascending bitmask order, so identical inputs yield bit-identical reports.
 
 Guard summary: every rule but average rejects negative weights (only the
 average rule combines counter-evidence); dempster additionally requires
@@ -16,7 +19,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import inf, isfinite, prod
+from math import inf, prod
 from typing import Iterator, Sequence
 
 from .errors import RuleGuardError, ValidationError
@@ -97,7 +100,8 @@ class FusionReport:
     conflict is the weight that fell on the empty set before any
     redistribution (for exact_fold, the empty-set weight of the n-ary
     conjunctive); normalization rescales it alongside the weights.
-    trace lists every pairwise product (empty for average and exact_fold).
+    trace lists every pairwise product of a two-mass report, built only
+    when read; it is empty for average and for three or more masses.
     divisor accumulates every rescaling applied (1 when none was), so
     Dempster's is 1 - conflict however many masses it combined.
     skipped_fractions counts conflicting products discarded because both
@@ -114,26 +118,14 @@ class FusionReport:
     skipped_fractions: int = 0
 
 
-def _check_pair(m1: MassFunction, m2: MassFunction) -> None:
-    if m1.frame != m2.frame:
+def _check_masses(pool: Sequence[MassFunction]) -> None:
+    frame = pool[0].frame
+    if any(m.frame != frame for m in pool):
         raise ValidationError("cannot combine masses over different frames")
-    if m1.has_negative or m2.has_negative:
+    if any(m.has_negative for m in pool):
         raise RuleGuardError(
             "negative weights present; only the average rule combines counter-evidence"
         )
-
-
-def _products(m1: MassFunction, m2: MassFunction) -> dict[int, list[float]]:
-    """Pairwise products over declared focal sets, bucketed by intersection bitmask.
-
-    Products are taken in trace order; the caller has checked the frames.
-    """
-    buckets: defaultdict[int, list[float]] = defaultdict(list)
-    second = tuple(m2.weights.bits.items())
-    for x, w1 in m1.weights.bits.items():
-        for y, w2 in second:
-            buckets[x & y].append(w1 * w2)
-    return buckets
 
 
 def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
@@ -142,20 +134,17 @@ def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
     Each pair of focal sets contributes the product of its weights to
     their intersection; disjoint pairs pile up on the empty set, and that
     pile is reported as the conflict. The grand total of the result
-    equals the product of the input totals.
+    equals the product of the input totals. Computed by exact_fold.
     """
-    _check_pair(m1, m2)
-    weights = {bits: checked_fsum(parts) for bits, parts in _products(m1, m2).items()}
-    result = MassFunction(m1.frame, Weights(m1.frame, weights), interval_union(m1.range, m2.range))
-    return FusionReport(result, weights.get(0, 0.0), ProductTrace(m1, m2), 1.0, RuleId.CONJUNCTIVE)
+    return exact_fold((m1, m2), RuleId.CONJUNCTIVE)
 
 
-def _require_dempster_input(position: str, m: MassFunction) -> None:
+def _require_dempster_input(position: int, m: MassFunction) -> None:
     range_class = classify_range(m)
     sum_class = classify_sum(m)
     if range_class is not RangeClass.CLASSICAL or sum_class is not SumClass.BALANCED:
         raise RuleGuardError(
-            "dempster requires classical masses summing to 1, but the %s input "
+            "dempster requires classical masses summing to 1, but input %d "
             "is %s by range and %s by sum; permitted here: pcr5, "
             "total-proportional, conjunctive (average for negative weights)"
             % (position, range_class.value, sum_class.value)
@@ -170,16 +159,8 @@ def _require_renormalizable(k: float) -> None:
 
 
 def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
-    """Dempster's rule: conjunctive combination renormalized by 1 - k."""
-    for position, m in (("first", m1), ("second", m2)):
-        _require_dempster_input(position, m)
-    base = conjunctive(m1, m2)
-    k = base.conflict
-    _require_renormalizable(k)
-    scale = 1.0 - k
-    weights = {b: w / scale for b, w in base.result.weights.bits.items() if b}
-    result = MassFunction(m1.frame, Weights(m1.frame, weights), CLASSICAL_RANGE)
-    return FusionReport(result, k, base.trace, scale, RuleId.DEMPSTER)
+    """Dempster's rule: conjunctive combination renormalized by 1 - k. Computed by exact_fold."""
+    return exact_fold((m1, m2), RuleId.DEMPSTER)
 
 
 def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
@@ -191,14 +172,14 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
     zero and the grand total is conserved. Products whose proportional
     denominator is zero are discarded and counted.
     """
-    _check_pair(m1, m2)
+    _check_masses((m1, m2))
     for m in (m1, m2):
         if m.conflict_weight != 0.0:
             raise RuleGuardError(
                 "pcr5 inputs must not carry weight on the empty set; "
                 "redistribute or renormalize first"
             )
-    # The products of _products, each conflicting one split as it is taken.
+    # Each conflicting product is split as it is taken.
     buckets: defaultdict[int, list[float]] = defaultdict(list)
     shares: defaultdict[int, list[float]] = defaultdict(list)
     skipped = 0
@@ -270,19 +251,11 @@ def total_proportional(report: FusionReport) -> FusionReport:
     weight and S the focal total, so ratios between focal sets and the
     grand total are both preserved. Distinct from pcr5, which splits each
     conflicting product between the two sets that produced it; this rule
-    feeds every focal set, conflicting or not.
+    feeds every focal set, conflicting or not. Each weight is taken
+    exactly and rounded once, by the same spread exact_fold applies.
     """
     result = report.result
-    k = result.conflict_weight
-    if k == 0.0:
-        return replace(report, rule=RuleId.TOTAL_PROPORTIONAL)
-    focal_total = result.focal_total
-    if focal_total <= 0.0:
-        raise _unabsorbable(k, focal_total)
-    factor = 1.0 + k / focal_total
-    if not isfinite(factor):
-        raise _unabsorbable(k, focal_total)
-    weights = {b: w * factor for b, w in result.weights.bits.items() if b}
+    weights = _spread(*_scaled(result))
     redistributed = MassFunction(result.frame, Weights(result.frame, weights), result.range)
     return replace(report, result=redistributed, rule=RuleId.TOTAL_PROPORTIONAL)
 
@@ -317,23 +290,17 @@ def fuse(
     """Combine, redistribute the conflict, then rescale onto target.
 
     Redistribution is pcr5's per-product split, total-proportional's pro
-    rata spread, Dempster's renormalization, or none (conjunctive). The
-    normalize flag appends the rescaling stage to pcr5 and
-    total-proportional; target defaults to the union of the input ranges.
-    Average takes no stage: it is the mean of the two inputs.
+    rata spread, Dempster's renormalization, or none (conjunctive); the
+    last three run as exact_fold of the two masses. The normalize flag
+    appends the rescaling stage to pcr5 and total-proportional; target
+    defaults to the union of the input ranges. Average takes no stage: it
+    is the mean of the two inputs.
     """
     if rule is RuleId.AVERAGE:
         return average((m1, m2))
-    if rule is RuleId.CONJUNCTIVE:
-        return conjunctive(m1, m2)
-    if rule is RuleId.DEMPSTER:
-        return dempster(m1, m2)
-    if rule is RuleId.PCR5:
-        report = pcr5(m1, m2)
-    elif rule is RuleId.TOTAL_PROPORTIONAL:
-        report = total_proportional(conjunctive(m1, m2))
-    else:
-        raise ValidationError("unknown rule %r" % rule)
+    if rule is not RuleId.PCR5:
+        return exact_fold((m1, m2), rule, target, normalize=normalize)
+    report = pcr5(m1, m2)
     if not normalize:
         return report
     return over_normalize(report, target or interval_union(m1.range, m2.range))
@@ -346,15 +313,17 @@ def exact_fold(
     *,
     normalize: bool = True,
 ) -> FusionReport:
-    """The n-ary combination of masses in exact arithmetic, each field rounded once.
+    """Two or more masses combined in exact arithmetic, each field rounded once.
 
-    For conjunctive, dempster and total-proportional. Every double is an
-    integer over a power of two, so the n-ary conjunctive combination is
-    exact in Python ints. Its empty-set weight is the conflict; dempster
-    renormalizes the rest by 1 - conflict, which is its divisor, and
-    total-proportional spreads the conflict over the focal sets pro rata.
-    So every field of the report, and whether the rule refuses, is the
-    same in any order of the masses. trace is empty. Negative weights and
+    The one implementation of conjunctive, dempster and total-proportional.
+    Every double is an integer over a power of two, so the n-ary
+    conjunctive combination is exact in Python ints. Its empty-set weight
+    is the conflict; dempster renormalizes the rest by 1 - conflict, which
+    is its divisor, and total-proportional spreads the conflict over the
+    focal sets pro rata. So every field of the report, and whether the
+    rule refuses, is the same in any order of the masses, and a vacuous
+    mass changes none of them. The trace of two masses is their
+    ProductTrace; that of three or more is empty. Negative weights and
     Dempster's input conditions are checked on every mass first.
     total-proportional then rescales as fuse does.
     """
@@ -362,17 +331,15 @@ def exact_fold(
     if len(pool) < 2:
         raise ValidationError("a fold needs at least two masses, got %d" % len(pool))
     if rule not in (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL):
-        raise ValidationError("exact_fold takes conjunctive, dempster or total-proportional, not %s" % rule.value)
+        raise ValidationError("exact_fold takes conjunctive, dempster or total-proportional, not %r" % (rule,))
     if rule is RuleId.DEMPSTER:
-        for i, m in enumerate(pool):
-            _require_dempster_input("second" if i else "first", m)
-    for m in pool[1:]:
-        _check_pair(pool[0], m)
-    scaled = [_scaled(m) for m in pool]
-    sources = [numerators for numerators, _ in scaled]
+        for position, m in enumerate(pool, 1):
+            _require_dempster_input(position, m)
+    _check_masses(pool)
+    sources, dens = zip(*map(_scaled, pool))
     width = len(pool[0].frame)
     combine = _dense_conjunctive if _dense_is_cheaper(sources, width) else _sparse_conjunctive
-    report = _fold_report(pool, rule, combine(sources, width), prod(d for _, d in scaled))
+    report = _fold_report(pool, rule, combine(sources, width), prod(dens))
     if rule is not RuleId.TOTAL_PROPORTIONAL or not normalize:
         return report
     return over_normalize(report, target or report.result.range)
@@ -392,6 +359,37 @@ def _quotient(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         raise ValidationError("fused weight beyond the float range") from None
+
+
+def _quotients(numerators: dict[int, int], den: int) -> dict[int, float]:
+    """_quotient of every numerator over den."""
+    try:
+        return {b: n / den for b, n in numerators.items()}
+    except OverflowError:
+        raise ValidationError("fused weight beyond the float range") from None
+
+
+def _spread(numerators: dict[int, int], den: int) -> dict[int, float]:
+    """Total-proportional's weights, from exact numerators over den.
+
+    With e the numerator on the empty set and g the sum of all of them,
+    each nonempty numerator n becomes n * g / ((g - e) * den): the weight
+    n / den times the factor 1 + k/S, for the conflict k = e / den and the
+    focal total S = (g - e) / den. A conflict with no positive focal total
+    to absorb it, or whose factor overflows a float, is refused.
+    """
+    e = numerators.get(0, 0)
+    if not e:
+        return _quotients(numerators, den)
+    g = sum(numerators.values())
+    focal = g - e
+    if focal > 0:
+        try:
+            g / focal  # the factor 1 + k/S, which must be a float
+            return _quotients({b: n * g for b, n in numerators.items() if b}, focal * den)
+        except OverflowError:
+            pass
+    raise _unabsorbable(_quotient(e, den), _quotient(focal, den))
 
 
 def _dense_is_cheaper(sources: Sequence[dict[int, int]], width: int) -> bool:
@@ -427,7 +425,7 @@ def _sparse_conjunctive(sources: Sequence[dict[int, int]], width: int) -> dict[i
             for y, b in second:
                 combined[x & y] += a * b
         acc = combined
-    return dict(acc)
+    return acc
 
 
 def _dense_conjunctive(sources: Sequence[dict[int, int]], width: int) -> dict[int, int]:
@@ -495,30 +493,20 @@ def _fold_report(
 ) -> FusionReport:
     """The report of the rule over pool, from the numerators of its exact n-ary conjunctive over den.
 
-    With e the numerator on the empty set and g the sum of all of them,
-    the conflict is e/den for every rule. dempster divides each nonempty
-    numerator by den - e and reports the divisor (den - e)/den, that is
-    1 - conflict; total-proportional multiplies each by g/((g - e) * den),
-    which is its two-source factor 1 + k/S over den.
+    With e the numerator on the empty set, the conflict is e/den for every
+    rule. dempster divides each nonempty numerator by den - e and reports
+    the divisor (den - e)/den, that is 1 - conflict; total-proportional
+    spreads the conflict through _spread.
     """
     frame = pool[0].frame
     e = numerators.get(0, 0)
     k = _quotient(e, den)
+    trace = ProductTrace(*pool) if len(pool) == 2 else ()
     if rule is RuleId.DEMPSTER:
         _require_renormalizable(k)
-        weights = {b: _quotient(n, den - e) for b, n in numerators.items() if b}
+        weights = _quotients({b: n for b, n in numerators.items() if b}, den - e)
         result = MassFunction(frame, Weights(frame, weights), CLASSICAL_RANGE)
-        return FusionReport(result, k, (), _quotient(den - e, den), rule)
-    if rule is RuleId.TOTAL_PROPORTIONAL and e:
-        g = sum(numerators.values())
-        if g == e:
-            raise _unabsorbable(k, 0.0)
-        try:
-            g / (g - e)  # the redistribution factor
-        except OverflowError:
-            raise _unabsorbable(k, _quotient(g - e, den)) from None
-        weights = {b: _quotient(n * g, (g - e) * den) for b, n in numerators.items() if b}
-    else:
-        weights = {b: _quotient(n, den) for b, n in numerators.items()}
+        return FusionReport(result, k, trace, _quotient(den - e, den), rule)
+    weights = _spread(numerators, den) if rule is RuleId.TOTAL_PROPORTIONAL else _quotients(numerators, den)
     result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
-    return FusionReport(result, k, (), 1.0, rule)
+    return FusionReport(result, k, trace, 1.0, rule)

@@ -28,6 +28,7 @@ from overmass.mass import MassRange, interval_union
 from overmass.rules import RuleId, fuse, over_normalize
 
 WILDFIRE = Path(__file__).resolve().parents[1] / "examples" / "wildfire.json"
+DEMPSTER_PAIR = WILDFIRE.with_name("dempster-pair.json")
 
 
 def doc_text(frame=("A", "B"), sources=None, pipeline=None):
@@ -362,6 +363,16 @@ class TestMainExitCodes:
                 assert main(["fuse", "--input", path, "--precision", "17"]) == 0
                 outputs.add(capsys.readouterr().out)
             assert len(outputs) == 1, pipeline
+
+    def test_fuse_output_does_not_change_with_a_vacuous_source(self, tmp_path, capsys):
+        doc = json.loads(DEMPSTER_PAIR.read_text(encoding="utf-8"))
+        doc["sources"].append({"name": "vacuous", "masses": {"north|east|south": 1.0}})
+        outputs = []
+        for path in (str(DEMPSTER_PAIR), self.write(tmp_path, json.dumps(doc))):
+            assert main(["fuse", "--input", path, "--precision", "17"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "conflict: 0.21750000000000000\n" in outputs[0]
 
     def test_fuse_rule_guard_exit(self, tmp_path, capsys):
         path = self.write(tmp_path, doc_text(sources=NEGATIVE_SOURCES))

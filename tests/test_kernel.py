@@ -1,24 +1,28 @@
-"""The bitmask product kernel against the eager FocalSet path it replaced.
+"""The two-source rules against references that share none of their code.
 
-The oracle below is the earlier implementation of the pairwise stage: one
-FocalSet intersection and one TraceRecord per product, and pcr5's split
-taken in a second pass over those records. The kernel must reproduce it
-exactly, not approximately: every bucket and share is the same multiset of
-terms summed by the same correctly rounded fsum.
+pcr5 is checked against the earlier implementation of the pairwise stage:
+one FocalSet intersection and one TraceRecord per product, and pcr5's
+split taken in a second pass over those records. The kernel must reproduce
+it exactly, not approximately: every bucket and share is the same multiset
+of terms summed by the same correctly rounded fsum. conjunctive, dempster
+and total-proportional are exact_fold of the pair, so they must equal the
+rational reference rounded once, field for field, and keep the eager
+trace of every product.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fold_reference import fraction_fold
 from overmass import rules
 from overmass.errors import RuleGuardError
 from overmass.frame import FocalSet, enumerate_powerset, make_frame
 from overmass.mass import (
     CLASSICAL_RANGE,
-    SUM_EPSILON,
     MassFunction,
     MassRange,
     RangeClass,
@@ -34,6 +38,8 @@ from overmass.rules import (
     TraceRecord,
     conjunctive,
     dempster,
+    fuse,
+    over_normalize,
     pcr5,
     total_proportional,
 )
@@ -55,28 +61,18 @@ def oracle_products(m1, m2):
     return weights, tuple(trace), conflict
 
 
-def oracle_conjunctive(m1, m2):
-    rules._check_pair(m1, m2)
-    weights, trace, conflict = oracle_products(m1, m2)
-    result = MassFunction(m1.frame, weights, interval_union(m1.range, m2.range))
-    return FusionReport(result, conflict, trace, 1.0, RuleId.CONJUNCTIVE)
-
-
-def oracle_dempster(m1, m2):
-    for m in (m1, m2):
-        if classify_range(m) is not RangeClass.CLASSICAL or classify_sum(m) is not SumClass.BALANCED:
-            raise RuleGuardError("dempster requires classical masses summing to 1")
-    base = oracle_conjunctive(m1, m2)
-    if base.conflict >= 1.0 - SUM_EPSILON:
-        raise RuleGuardError("dempster is undefined under total conflict")
-    scale = 1.0 - base.conflict
-    weights = {fs: w / scale for fs, w in base.result.weights.items() if not fs.is_empty}
-    result = MassFunction(m1.frame, weights, CLASSICAL_RANGE)
-    return FusionReport(result, base.conflict, base.trace, scale, RuleId.DEMPSTER)
+def exact_reference(rule, m1, m2):
+    """fraction_fold of the pair behind the guards the rules apply first, with the eager trace."""
+    if rule is RuleId.DEMPSTER:
+        for m in (m1, m2):
+            if classify_range(m) is not RangeClass.CLASSICAL or classify_sum(m) is not SumClass.BALANCED:
+                raise RuleGuardError("dempster requires classical masses summing to 1")
+    rules._check_masses((m1, m2))
+    return replace(fraction_fold((m1, m2), rule), trace=oracle_products(m1, m2)[1])
 
 
 def oracle_pcr5(m1, m2):
-    rules._check_pair(m1, m2)
+    rules._check_masses((m1, m2))
     weights, trace, conflict = oracle_products(m1, m2)
     empty = m1.frame.empty_set()
     shares = {}
@@ -100,16 +96,7 @@ def oracle_pcr5(m1, m2):
     return FusionReport(result, conflict, trace, 1.0, RuleId.PCR5, skipped)
 
 
-def oracle_total_proportional(m1, m2):
-    return total_proportional(oracle_conjunctive(m1, m2))
-
-
-CASES = [
-    (conjunctive, oracle_conjunctive),
-    (dempster, oracle_dempster),
-    (pcr5, oracle_pcr5),
-    (lambda m1, m2: total_proportional(conjunctive(m1, m2)), oracle_total_proportional),
-]
+EXACT_RULES = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
 
 
 @st.composite
@@ -119,6 +106,7 @@ def mass_pairs(draw):
     # Zero weights make pcr5 skip products; normalized pairs reach dempster.
     weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.5))
     normalized = draw(st.booleans())
+    mass_range = CLASSICAL_RANGE if normalized else MassRange(0.0, 1.5)
     pair = []
     for _ in range(2):
         chosen = draw(st.lists(st.sampled_from(sets), min_size=1, max_size=12, unique=True))
@@ -126,7 +114,7 @@ def mass_pairs(draw):
         total = sum(assignments.values())
         if normalized and total > 0.0:
             assignments = {fs: w / total for fs, w in assignments.items()}
-        pair.append(MassFunction(frame, assignments, MassRange(0.0, 1.5)))
+        pair.append(MassFunction(frame, assignments, mass_range))
     return pair
 
 
@@ -149,8 +137,22 @@ def _outcome(rule, m1, m2):
 @given(mass_pairs())
 def test_kernel_equals_eager_oracle_exactly(pair):
     m1, m2 = pair
-    for kernel, oracle in CASES:
-        assert _outcome(kernel, m1, m2) == _outcome(oracle, m1, m2)
+    assert _outcome(pcr5, m1, m2) == _outcome(oracle_pcr5, m1, m2)
+
+
+@given(mass_pairs())
+def test_exact_rules_equal_the_fraction_fold_exactly(pair):
+    m1, m2 = pair
+    named = {RuleId.CONJUNCTIVE: conjunctive, RuleId.DEMPSTER: dempster}
+    for rule in EXACT_RULES:
+        want = _outcome(lambda a, b: exact_reference(rule, a, b), m1, m2)
+        assert _outcome(lambda a, b: fuse(a, b, rule, normalize=False), m1, m2) == want
+        if rule in named:
+            assert _outcome(named[rule], m1, m2) == want
+        elif want != "refused":
+            reference = exact_reference(rule, m1, m2)
+            rescaled = _outcome(lambda a, b: over_normalize(reference, reference.result.range), m1, m2)
+            assert _outcome(lambda a, b: fuse(a, b, rule), m1, m2) == rescaled
 
 
 def test_trace_len_and_bool_build_no_records(monkeypatch):
@@ -176,7 +178,7 @@ def test_trace_indexes_like_a_tuple():
     m1 = MassFunction(frame, {frame.singleton("A"): 0.5, frame.full_set(): 0.5}, CLASSICAL_RANGE)
     m2 = MassFunction(frame, {frame.singleton("B"): 0.25, frame.subset("AB"): 0.75}, CLASSICAL_RANGE)
     trace = conjunctive(m1, m2).trace
-    eager = oracle_conjunctive(m1, m2).trace
+    eager = oracle_products(m1, m2)[1]
     assert [trace[i] for i in range(-4, 4)] == [eager[i] for i in range(-4, 4)]
     assert trace[1:3] == eager[1:3]
     assert trace == eager and eager == trace

@@ -100,6 +100,11 @@ class TestMakeMass:
         with pytest.raises(ValidationError):
             make_mass(ab, {"A": 0.5, " A ": 0.3}, CLASSICAL_RANGE)
 
+    def test_key_neither_expression_nor_focal_set_of_the_frame(self, ab):
+        for key in (5, None, ("A",), make_frame(["A", "C"]).singleton("A")):
+            with pytest.raises(ValidationError, match="mass keys must be focal expressions or FocalSets of this frame"):
+                make_mass(ab, {key: 0.5}, CLASSICAL_RANGE)
+
     def test_unknown_label(self, ab):
         with pytest.raises(ParseError):
             make_mass(ab, {"C": 0.5}, CLASSICAL_RANGE)

@@ -1,5 +1,7 @@
 """Rule-level tests against independently recomputed (frozen) values."""
 
+import math
+
 import pytest
 
 from overmass.errors import RuleGuardError, ValidationError
@@ -188,11 +190,14 @@ class TestPcr5:
         assert report.result["A|B"] == pytest.approx(0.02, abs=1e-12)
 
     def test_no_disjoint_pairs_reduces_to_conjunctive(self, ab):
+        # With nothing to split, pcr5 is the fsum of each set's float pairwise products.
         m1 = make_mass(ab, {"A": 0.6, "A|B": 0.4}, CLASSICAL_RANGE, strict=True)
         m2 = make_mass(ab, {"A": 0.2, "A|B": 0.8}, CLASSICAL_RANGE, strict=True)
-        assert dict(pcr5(m1, m2).result.weights) == dict(
-            conjunctive(m1, m2).result.weights
-        )
+        products = {}
+        for x, w1 in m1.weights.bits.items():
+            for y, w2 in m2.weights.bits.items():
+                products.setdefault(x & y, []).append(w1 * w2)
+        assert dict(pcr5(m1, m2).result.weights.bits) == {b: math.fsum(p) for b, p in products.items()}
 
     def test_conservation(self, mixed_pair):
         base = conjunctive(*mixed_pair)
