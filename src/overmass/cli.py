@@ -13,10 +13,9 @@ Documents are JSON:
 
 The pipeline record is optional, as is each field in it; the optional
 "target" field is a [lo, hi] pair and "normalize" (default true) controls
-whether the final rescaling stage runs. "order" is still accepted from
-older documents, but both of its values run the same pipeline. Exit
-codes: 0 success, 1 validation error, 2 parse error, 3 rule guard
-violation, 4 golden comparison mismatch.
+whether the final rescaling stage runs. Exit codes: 0 success, 1
+validation error, 2 parse error, 3 rule guard violation, 4 golden
+comparison mismatch.
 """
 
 from __future__ import annotations
@@ -42,12 +41,6 @@ from .mass import (
 )
 from .regime import assess
 from .rules import FusionReport, RuleId, average, exact_fold, fuse
-
-#: Stage orders that older documents and scripts may name. Redistributing
-#: and rescaling both scale every weight uniformly, so one pipeline serves
-#: both and the value is validated, then ignored.
-ORDERS = ("normalize-first", "redistribute-first")
-
 
 @dataclass(frozen=True)
 class Source:
@@ -99,10 +92,6 @@ def _parse_pipeline(raw: Any) -> PipelineSpec:
                 "unknown rule %r; choose from %s"
                 % (raw["rule"], ", ".join(r.value for r in RuleId))
             ) from None
-    if "order" in raw and raw["order"] not in ORDERS:
-        raise ParseError(
-            "unknown order %r; choose from %s" % (raw["order"], ", ".join(ORDERS))
-        )
     if raw.get("target") is not None:
         spec = replace(spec, target=_parse_range(raw["target"], "pipeline target"))
     for flag in ("strict", "normalize"):
@@ -248,7 +237,7 @@ def render_csv(report: FusionReport, precision: int = 3) -> str:
 #: Bel(...)/Pl(...) query on it; "raw " prefixes the same on the plain
 #: conjunctive combination. Loose tolerances mark published values that
 #: were rounded at each intermediate step. Titles name the published stage
-#: order; both orders give the same numbers (see ORDERS).
+#: order.
 GOLDEN_EXAMPLES = (
     (
         "promotion, shared scale (total-proportional, normalize first)",
@@ -450,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuse_p.add_argument(
         "--rule", choices=[r.value for r in RuleId], help="override the document's rule"
     )
-    fuse_p.add_argument("--order", choices=ORDERS, help="accepted for older scripts; ignored")
     fuse_p.add_argument(
         "--target", metavar="LO,HI", help="rescale onto this range; pcr5 and total-proportional only"
     )

@@ -307,9 +307,13 @@ def belief_interval(m: MassFunction, a: FocalSet) -> BeliefInterval:
 
 
 def interval_union(first: MassRange, *rest: MassRange) -> MassRange:
-    """Smallest interval holding every given range: [min lo, max hi]."""
+    """Smallest interval holding every given range: [min lo, max hi], or the given range that holds the rest."""
     ranges = (first, *rest)
-    return MassRange(min(r.lo for r in ranges), max(r.hi for r in ranges))
+    lo, hi = min([r.lo for r in ranges]), max([r.hi for r in ranges])
+    for r in ranges:
+        if r.lo == lo and r.hi == hi:
+            return r
+    return MassRange(lo, hi)
 
 
 def best_focal(m: MassFunction) -> FocalSet | None:

@@ -2,10 +2,11 @@
 
 Every rule returns a FusionReport: the combined mass plus the audit trail
 needed to reconstruct the numbers (pairwise product trace, conflict,
-normalization divisor). conjunctive, dempster and total-proportional have
-one implementation, exact_fold, for two or more masses: the n-ary
-conjunctive combination in exact integer arithmetic, each field rounded
-once. pcr5 is the float pairwise kernel, and average the per-set mean.
+normalization divisor). Every rule but average combines in one way: the
+n-ary conjunctive combination in exact integer arithmetic, each field
+rounded once. conjunctive, dempster and total-proportional take it through
+exact_fold, for two or more masses; pcr5 adds to it, for two masses, the
+float shares of each conflicting product. average is the per-set mean.
 Rules are pure functions over immutable inputs, and iteration follows
 ascending bitmask order, so identical inputs yield bit-identical reports.
 
@@ -98,8 +99,9 @@ class FusionReport:
     """A combined mass with its audit fields.
 
     conflict is the weight that fell on the empty set before any
-    redistribution (for exact_fold, the empty-set weight of the n-ary
-    conjunctive); normalization rescales it alongside the weights.
+    redistribution: the empty-set weight of the exact conjunctive
+    combination, rounded once; normalization rescales it alongside the
+    weights.
     trace lists every pairwise product of a two-mass report, built only
     when read; it is empty for average and for three or more masses.
     divisor accumulates every rescaling applied (1 when none was), so
@@ -166,10 +168,12 @@ def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
 def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
     """Conjunctive combination with per-product conflict redistribution.
 
-    Every conflicting product m1(x)*m2(y) (x and y disjoint) is split back
-    onto x and y in proportion to the source weights that produced it:
-    x receives m1(x)*p/(m1(x)+m2(y)) and y the rest. The empty set ends at
-    zero and the grand total is conserved. Products whose proportional
+    The conjunctive part and the conflict are exact_fold's: taken exactly,
+    then rounded once. Every conflicting product p = m1(x)*m2(y) (x
+    and y disjoint) is then split back onto x and y in proportion to the
+    source weights that produced it: x receives m1(x)*p/(m1(x)+m2(y)) and
+    y receives m2(y)*p/(m1(x)+m2(y)), in floats. The empty set ends at zero
+    and the grand total is conserved. Products whose proportional
     denominator is zero are discarded and counted.
     """
     _check_masses((m1, m2))
@@ -179,31 +183,27 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
                 "pcr5 inputs must not carry weight on the empty set; "
                 "redistribute or renormalize first"
             )
-    # Each conflicting product is split as it is taken.
-    buckets: defaultdict[int, list[float]] = defaultdict(list)
+    numerators, den = _conjunctive_numerators((m1, m2))
     shares: defaultdict[int, list[float]] = defaultdict(list)
     skipped = 0
     second = tuple(m2.weights.bits.items())
     for x, w1 in m1.weights.bits.items():
         for y, w2 in second:
-            landing = x & y
-            p = w1 * w2
-            buckets[landing].append(p)
-            if landing:
+            if x & y:
                 continue
             denom = w1 + w2
             if denom == 0.0:
                 skipped += 1
                 continue
+            p = w1 * w2
             shares[x].append(w1 * p / denom)
             shares[y].append(w2 * p / denom)
-    weights = {bits: checked_fsum(parts) for bits, parts in buckets.items()}
-    combined = {
-        bits: checked_fsum([weights.get(bits, 0.0), *shares.get(bits, [])])
-        for bits in (weights.keys() | shares.keys()) - {0}
-    }
-    result = MassFunction(m1.frame, Weights(m1.frame, combined), interval_union(m1.range, m2.range))
-    return FusionReport(result, weights.get(0, 0.0), ProductTrace(m1, m2), 1.0, RuleId.PCR5, skipped)
+    weights = {b: _quotient(n, den) for b, n in numerators.items() if b}
+    for b, parts in shares.items():
+        weights[b] = checked_fsum([weights.get(b, 0.0), *parts])
+    result = MassFunction(m1.frame, Weights(m1.frame, weights), interval_union(m1.range, m2.range))
+    conflict = _quotient(numerators.get(0, 0), den)
+    return FusionReport(result, conflict, ProductTrace(m1, m2), 1.0, RuleId.PCR5, skipped)
 
 
 def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
@@ -336,13 +336,22 @@ def exact_fold(
         for position, m in enumerate(pool, 1):
             _require_dempster_input(position, m)
     _check_masses(pool)
-    sources, dens = zip(*map(_scaled, pool))
-    width = len(pool[0].frame)
-    combine = _dense_conjunctive if _dense_is_cheaper(sources, width) else _sparse_conjunctive
-    report = _fold_report(pool, rule, combine(sources, width), prod(dens))
+    report = _fold_report(pool, rule, *_conjunctive_numerators(pool))
     if rule is not RuleId.TOTAL_PROPORTIONAL or not normalize:
         return report
     return over_normalize(report, target or report.result.range)
+
+
+def _conjunctive_numerators(pool: Sequence[MassFunction]) -> tuple[dict[int, int], int]:
+    """The exact n-ary conjunctive of pool: every reached set's integer numerator, and their denominator.
+
+    Taken by the commonality transforms or by pairwise products, whichever
+    _dense_is_cheaper picks; both give the same numerators and keys.
+    """
+    sources, dens = zip(*map(_scaled, pool))
+    width = len(pool[0].frame)
+    combine = _dense_conjunctive if _dense_is_cheaper(sources, width) else _sparse_conjunctive
+    return combine(sources, width), prod(dens)
 
 
 def _scaled(m: MassFunction) -> tuple[dict[int, int], int]:
@@ -361,14 +370,6 @@ def _quotient(num: int, den: int) -> float:
         raise ValidationError("fused weight beyond the float range") from None
 
 
-def _quotients(numerators: dict[int, int], den: int) -> dict[int, float]:
-    """_quotient of every numerator over den."""
-    try:
-        return {b: n / den for b, n in numerators.items()}
-    except OverflowError:
-        raise ValidationError("fused weight beyond the float range") from None
-
-
 def _spread(numerators: dict[int, int], den: int) -> dict[int, float]:
     """Total-proportional's weights, from exact numerators over den.
 
@@ -380,13 +381,13 @@ def _spread(numerators: dict[int, int], den: int) -> dict[int, float]:
     """
     e = numerators.get(0, 0)
     if not e:
-        return _quotients(numerators, den)
+        return {b: _quotient(n, den) for b, n in numerators.items()}
     g = sum(numerators.values())
     focal = g - e
     if focal > 0:
         try:
             g / focal  # the factor 1 + k/S, which must be a float
-            return _quotients({b: n * g for b, n in numerators.items() if b}, focal * den)
+            return {b: _quotient(n * g, focal * den) for b, n in numerators.items() if b}
         except OverflowError:
             pass
     raise _unabsorbable(_quotient(e, den), _quotient(focal, den))
@@ -504,9 +505,13 @@ def _fold_report(
     trace = ProductTrace(*pool) if len(pool) == 2 else ()
     if rule is RuleId.DEMPSTER:
         _require_renormalizable(k)
-        weights = _quotients({b: n for b, n in numerators.items() if b}, den - e)
+        weights = {b: _quotient(n, den - e) for b, n in numerators.items() if b}
         result = MassFunction(frame, Weights(frame, weights), CLASSICAL_RANGE)
         return FusionReport(result, k, trace, _quotient(den - e, den), rule)
-    weights = _spread(numerators, den) if rule is RuleId.TOTAL_PROPORTIONAL else _quotients(numerators, den)
+    if rule is RuleId.TOTAL_PROPORTIONAL:
+        weights = _spread(numerators, den)
+    else:
+        weights = {b: _quotient(n, den) for b, n in numerators.items()}
     result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
     return FusionReport(result, k, trace, 1.0, rule)
+

@@ -11,7 +11,6 @@ import pytest
 import overmass
 from fold_reference import fraction_fold
 from overmass.cli import (
-    ORDERS,
     PipelineSpec,
     ScenarioDocument,
     build_parser,
@@ -171,14 +170,9 @@ class TestLoadDocument:
         with pytest.raises(ParseError):
             load_document(doc_text(pipeline={"rule": "majority"}))
 
-    def test_unknown_order(self):
-        with pytest.raises(ParseError):
-            load_document(doc_text(pipeline={"order": "sideways"}))
-
     def test_round_trip(self):
         doc = load_document(
-            doc_text(pipeline={"rule": "total-proportional", "order": "normalize-first",
-                               "target": [0, 1.1], "strict": True})
+            doc_text(pipeline={"rule": "total-proportional", "target": [0, 1.1], "strict": True})
         )
         assert load_document(render_document(doc)) == doc
 
@@ -190,8 +184,7 @@ class TestLoadDocument:
 class TestRunPipeline:
     def test_widened_normalize_first(self):
         doc = load_document(
-            doc_text(pipeline={"rule": "total-proportional", "order": "normalize-first",
-                               "strict": True})
+            doc_text(pipeline={"rule": "total-proportional", "strict": True})
         )
         report = run_pipeline(doc)
         assert report.result["A"] == pytest.approx(0.67, abs=0.01)
@@ -239,17 +232,6 @@ class TestRunPipeline:
         # target = union of all = [0, 1.2]
         assert report.result.total == pytest.approx(1.2, abs=1e-9)
         assert report.result.conflict_weight == 0.0
-
-    def test_named_order_renders_same_table(self):
-        plain = run_pipeline(load_document(doc_text(pipeline={"rule": "total-proportional"})))
-        for order in ORDERS:
-            named = load_document(
-                doc_text(pipeline={"rule": "total-proportional", "order": order})
-            )
-            for precision in (3, 17):
-                assert render_table(run_pipeline(named), precision) == render_table(
-                    plain, precision
-                )
 
     def test_three_sources_fold_left(self):
         # Without a target the default is the union of every source range.
@@ -423,14 +405,15 @@ class TestMainExitCodes:
         assert main(["fuse", "--input", path, "--no-normalize"]) == 0
         assert "1.320" in capsys.readouterr().out
 
-    def test_fuse_order_override(self, tmp_path, capsys):
-        path = self.write(tmp_path, doc_text(pipeline={"rule": "total-proportional"}))
-        assert main(["fuse", "--input", path, "--order", "normalize-first",
-                     "--precision", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "0.67" in out and "0.41" in out
-        assert main(["fuse", "--input", path, "--precision", "2"]) == 0
-        assert capsys.readouterr().out == out
+    @pytest.mark.parametrize("order", ["normalize-first", "redistribute-first", "sideways", 3, None])
+    def test_document_order_changes_nothing(self, tmp_path, capsys, order):
+        for rule in ("pcr5", "total-proportional"):
+            outputs = []
+            for pipeline in ({"rule": rule}, {"rule": rule, "order": order}):
+                path = self.write(tmp_path, doc_text(pipeline=pipeline))
+                assert main(["fuse", "--input", path, "--precision", "17"]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1]
 
     def test_rescaling_flags_name_their_rules(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "200")  # argparse wraps at hyphens
@@ -440,13 +423,6 @@ class TestMainExitCodes:
         for flag in ("--target LO,HI ", "--no-normalize "):
             entry = options.split(flag, 1)[1].split(" --", 1)[0]
             assert entry.endswith("pcr5 and total-proportional only"), entry
-
-    def test_unknown_order_flag_rejected(self, tmp_path, capsys):
-        path = self.write(tmp_path, doc_text())
-        with pytest.raises(SystemExit) as exc:
-            main(["fuse", "--input", path, "--order", "sideways"])
-        assert exc.value.code == 2
-        capsys.readouterr()
 
     @pytest.mark.parametrize("command", [["fuse"], ["belpl", "--set", "A"]])
     def test_precision_bounded_by_double_digits(self, tmp_path, capsys, command):

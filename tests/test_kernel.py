@@ -1,13 +1,16 @@
 """The two-source rules against references that share none of their code.
 
-pcr5 is checked against the earlier implementation of the pairwise stage:
-one FocalSet intersection and one TraceRecord per product, and pcr5's
-split taken in a second pass over those records. The kernel must reproduce
-it exactly, not approximately: every bucket and share is the same multiset
-of terms summed by the same correctly rounded fsum. conjunctive, dempster
-and total-proportional are exact_fold of the pair, so they must equal the
-rational reference rounded once, field for field, and keep the eager
-trace of every product.
+Every rule's conjunctive part is the exact combination of the pair,
+rounded once. conjunctive, dempster and total-proportional are exact_fold
+of the pair, so they must equal the rational reference rounded once,
+field for field, and keep the eager trace of every product. pcr5 is
+checked against an oracle built on the same rational reference: its
+conflict and each set's conjunctive weight are the reference's, and its
+shares are taken in a second pass over the eager trace, one FocalSet
+intersection and one TraceRecord per product. The rule must reproduce it
+exactly, not approximately: each set's weight is its conjunctive weight
+and the same multiset of float shares, summed by the same correctly
+rounded fsum.
 """
 
 import random
@@ -47,18 +50,10 @@ from overmass.rules import (
 LABELS = "ABCDEFGHIJKLMNOP"
 
 
-def oracle_products(m1, m2):
-    buckets = {}
-    trace = []
-    for x, w1 in m1.weights.items():
-        for y, w2 in m2.weights.items():
-            landing = x & y
-            p = w1 * w2
-            buckets.setdefault(landing, []).append(p)
-            trace.append(TraceRecord(x, y, p, landing))
-    weights = {fs: checked_fsum(parts) for fs, parts in buckets.items()}
-    conflict = weights.get(m1.frame.empty_set(), 0.0)
-    return weights, tuple(trace), conflict
+def oracle_trace(m1, m2):
+    return tuple(
+        TraceRecord(x, y, w1 * w2, x & y) for x, w1 in m1.weights.items() for y, w2 in m2.weights.items()
+    )
 
 
 def exact_reference(rule, m1, m2):
@@ -68,12 +63,14 @@ def exact_reference(rule, m1, m2):
             if classify_range(m) is not RangeClass.CLASSICAL or classify_sum(m) is not SumClass.BALANCED:
                 raise RuleGuardError("dempster requires classical masses summing to 1")
     rules._check_masses((m1, m2))
-    return replace(fraction_fold((m1, m2), rule), trace=oracle_products(m1, m2)[1])
+    return replace(fraction_fold((m1, m2), rule), trace=oracle_trace(m1, m2))
 
 
 def oracle_pcr5(m1, m2):
     rules._check_masses((m1, m2))
-    weights, trace, conflict = oracle_products(m1, m2)
+    exact = fraction_fold((m1, m2), RuleId.CONJUNCTIVE)
+    weights, conflict = exact.result.weights, exact.conflict
+    trace = oracle_trace(m1, m2)
     empty = m1.frame.empty_set()
     shares = {}
     skipped = 0
@@ -99,12 +96,18 @@ def oracle_pcr5(m1, m2):
 EXACT_RULES = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
 
 
+# Zero weights make pcr5 skip products.
+WEIGHTS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.5))
+# Weights as documents spell them, whose products are seldom exact floats.
+DECIMALS = st.integers(min_value=1, max_value=1500).map(lambda n: n / 1000)
+
+
 @st.composite
-def mass_pairs(draw):
+def mass_pairs(draw, weight=WEIGHTS, overlapping=False):
+    """Two masses on one frame; overlapping ones have every focal set hold the first label."""
     frame = make_frame(LABELS[: draw(st.integers(min_value=2, max_value=6))])
-    sets = [fs for fs in enumerate_powerset(frame) if not fs.is_empty]
-    # Zero weights make pcr5 skip products; normalized pairs reach dempster.
-    weight = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.5))
+    sets = [fs for fs in enumerate_powerset(frame) if fs.bits & 1 or not (overlapping or fs.is_empty)]
+    # Normalized pairs reach dempster.
     normalized = draw(st.booleans())
     mass_range = CLASSICAL_RANGE if normalized else MassRange(0.0, 1.5)
     pair = []
@@ -138,6 +141,12 @@ def _outcome(rule, m1, m2):
 def test_kernel_equals_eager_oracle_exactly(pair):
     m1, m2 = pair
     assert _outcome(pcr5, m1, m2) == _outcome(oracle_pcr5, m1, m2)
+
+
+@given(mass_pairs(DECIMALS), mass_pairs(DECIMALS, overlapping=True))
+def test_pcr5_combines_as_conjunctive(pair, overlapping):
+    assert pcr5(*pair).conflict == conjunctive(*pair).conflict
+    assert pcr5(*overlapping).result.weights == conjunctive(*overlapping).result.weights
 
 
 @given(mass_pairs())
@@ -178,7 +187,7 @@ def test_trace_indexes_like_a_tuple():
     m1 = MassFunction(frame, {frame.singleton("A"): 0.5, frame.full_set(): 0.5}, CLASSICAL_RANGE)
     m2 = MassFunction(frame, {frame.singleton("B"): 0.25, frame.subset("AB"): 0.75}, CLASSICAL_RANGE)
     trace = conjunctive(m1, m2).trace
-    eager = oracle_products(m1, m2)[1]
+    eager = oracle_trace(m1, m2)
     assert [trace[i] for i in range(-4, 4)] == [eager[i] for i in range(-4, 4)]
     assert trace[1:3] == eager[1:3]
     assert trace == eager and eager == trace

@@ -362,6 +362,11 @@ class TestIntervalUnion:
         r = MassRange(-0.5, 1.5)
         assert interval_union(r, r) == r
 
+    def test_covering_range_returned_as_is(self):
+        wide = MassRange(-0.1, 1.2)
+        assert interval_union(MassRange(0, 1.1), wide) is wide
+        assert interval_union(wide, MassRange(0, 1.1), MassRange(-0.1, 1)) is wide
+
     def test_associative(self):
         r1, r2, r3 = MassRange(-0.3, 1.0), MassRange(0, 1.4), MassRange(-0.1, 1.2)
         assert interval_union(interval_union(r1, r2), r3) == interval_union(

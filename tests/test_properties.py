@@ -212,7 +212,7 @@ def test_interval_union_contains_both(r1, r2):
 @settings(max_examples=50)
 @given(mass_pairs())
 def test_rescaling_commutes_with_total_proportional(pair):
-    # Why a document's "order" may be ignored: both stage orders agree.
+    # Why the pipeline has one stage order: both orders agree.
     m1, m2 = pair
     report = conjunctive(m1, m2)
     assume(report.result.focal_total > SUM_EPSILON)
