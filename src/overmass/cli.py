@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -102,17 +103,25 @@ def _parse_pipeline(raw: Any) -> PipelineSpec:
     return spec
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise ParseError("duplicate key %r in a JSON object" % repeated)
+    return obj
+
+
 def load_document(data: bytes | str) -> ScenarioDocument:
     """Parse and validate a scenario document.
 
-    Structural problems raise ParseError (with line/column for malformed
-    JSON); out-of-range weights and similar semantic problems raise
-    ValidationError naming the offending source.
+    Structural problems, a repeated key among them, raise ParseError (with
+    line/column for malformed JSON); out-of-range weights and similar
+    semantic problems raise ValidationError naming the offending source.
     """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
         # Integers parse as floats, so a huge one becomes inf and is rejected.
-        raw = json.loads(text, parse_int=float)
+        raw = json.loads(text, parse_int=float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(
             "invalid JSON at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
@@ -145,10 +154,8 @@ def load_document(data: bytes | str) -> ScenarioDocument:
                 raise ParseError("%s: weight for %r must be a number" % (where, expr))
         try:
             mass = make_mass(frame, masses, mass_range, strict=pipeline.strict)
-        except ParseError as exc:
-            raise ParseError("%s: %s" % (where, exc)) from exc
-        except ValidationError as exc:
-            raise ValidationError("%s: %s" % (where, exc)) from exc
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)("%s: %s" % (where, exc)) from exc
         sources.append(Source(name, mass))
     return ScenarioDocument(frame, tuple(sources), pipeline)
 

@@ -32,17 +32,20 @@ class Frame:
             raise ValidationError(
                 "frame size %d exceeds the supported maximum of %d" % (len(self.labels), MAX_FRAME_SIZE)
             )
-        seen: set[str] = set()
-        for label in self.labels:
+        bit_of: dict[str, int] = {}  # label -> bit; not a field, so equality, hash and repr stay by labels
+        for i, label in enumerate(self.labels):
             if not isinstance(label, str) or not label:
                 raise ValidationError("labels must be nonempty strings, got %r" % (label,))
             if SEPARATOR in label:
                 raise ValidationError("label %r contains the reserved separator %r" % (label, SEPARATOR))
+            if label == EMPTY_SYMBOL:
+                raise ValidationError("label %r is reserved for the empty set" % label)
             if label != label.strip():
                 raise ValidationError("label %r has leading or trailing whitespace" % label)
-            if label in seen:
+            if label in bit_of:
                 raise ValidationError("duplicate label %r" % label)
-            seen.add(label)
+            bit_of[label] = 1 << i
+        object.__setattr__(self, "_bit_of", bit_of)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -50,9 +53,21 @@ class Frame:
     def index(self, label: str) -> int:
         """Position of a label, raising ParseError for unknown ones."""
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._bit_of[label].bit_length() - 1
+        except (KeyError, TypeError):
             raise ParseError("unknown label %r (frame is %s)" % (label, list(self.labels))) from None
+
+    def _parse_bits(self, expr: str) -> int:
+        if not isinstance(expr, str) or not expr.strip():
+            raise ParseError("empty focal-set expression")
+        bit_of = self._bit_of
+        bits = 0
+        for token in expr.split(SEPARATOR):
+            label = token.strip()
+            if not label:
+                raise ParseError("empty label in focal-set expression %r" % expr)
+            bits |= bit_of[label] if label in bit_of else 1 << self.index(label)  # index raises for an unknown label
+        return bits
 
     def empty_set(self) -> FocalSet:
         return FocalSet(self, 0)
@@ -84,9 +99,6 @@ class FocalSet:
     def __post_init__(self) -> None:
         if not 0 <= self.bits < (1 << len(self.frame)):
             raise ValidationError("bitmask %#x out of range for a frame of %d elements" % (self.bits, len(self.frame)))
-
-    def __hash__(self) -> int:  # equal sets have equal bits; skips re-hashing the frame's labels
-        return hash(self.bits)
 
     @property
     def is_empty(self) -> bool:
@@ -140,17 +152,9 @@ def make_frame(labels: Sequence[str]) -> Frame:
 def parse_focal(expr: str, frame: Frame) -> FocalSet:
     """Parse an expression like "A|B" into a FocalSet over the given frame.
 
-    Whitespace around each label is ignored; labels may appear in any order.
+    Whitespace around each label is ignored; labels may repeat, in any order.
     """
-    if not isinstance(expr, str) or not expr.strip():
-        raise ParseError("empty focal-set expression")
-    bits = 0
-    for token in expr.split(SEPARATOR):
-        label = token.strip()
-        if not label:
-            raise ParseError("empty label in focal-set expression %r" % expr)
-        bits |= 1 << frame.index(label)
-    return FocalSet(frame, bits)
+    return FocalSet(frame, frame._parse_bits(expr))
 
 
 def enumerate_powerset(frame: Frame) -> list[FocalSet]:

@@ -214,36 +214,35 @@ def make_mass(
 ) -> MassFunction:
     """Build and validate a source mass function.
 
-    String keys are parsed as focal expressions against the frame; any
-    other key must be a FocalSet of the frame. Every
-    weight must lie in the declared range and the empty set must carry no
-    weight. With ``strict=True`` the weights must additionally sum to
-    lo + hi (within SUM_EPSILON), the exact-total reading of the extended
-    definitions; the lenient default accepts any in-bound weights, which
-    is what sum-based diagnostics such as deficit detection need.
+    String keys are parsed straight to bitmasks against the frame; any
+    other key must be a FocalSet of the frame, and no set may come twice.
+    Once every key has parsed, each weight must lie in the declared range
+    and the empty set must carry none. With ``strict=True`` the weights
+    must additionally sum to lo + hi (within SUM_EPSILON), the exact-total
+    reading of the extended definitions; the lenient default accepts any
+    in-bound weights, which is what sum-based diagnostics need.
     """
+    lo, hi = mass_range.lo, mass_range.hi
     resolved: dict[int, float] = {}
+    out_of_bounds = None  # first set failing a bound check; a bad key anywhere is reported first
     for key, w in assignments.items():
         if isinstance(key, str):
-            fs = parse_focal(key, frame)
+            b = frame._parse_bits(key)
         elif isinstance(key, FocalSet) and key.frame == frame:
-            fs = key
+            b = key.bits
         else:
             raise ValidationError("mass keys must be focal expressions or FocalSets of this frame, got %r" % (key,))
-        if fs.bits in resolved:
-            raise ValidationError("focal set %s assigned twice" % fs)
-        resolved[fs.bits] = _as_float(w)
-
-    for b, w in resolved.items():
-        if not b:
-            if w != 0.0:
-                raise ValidationError("source mass assigns %r to the empty set" % w)
-            continue
-        if not mass_range.contains(w):
-            raise ValidationError(
-                "weight %r on %s outside declared range [%r, %r]"
-                % (w, FocalSet(frame, b), mass_range.lo, mass_range.hi)
-            )
+        if b in resolved:
+            raise ValidationError("focal set %s assigned twice" % FocalSet(frame, b))
+        w = resolved[b] = _as_float(w)
+        if out_of_bounds is None and not (lo <= w <= hi if b else w == 0.0):
+            out_of_bounds = b
+    if out_of_bounds is not None:
+        w = resolved[out_of_bounds]
+        raise ValidationError(
+            "weight %r on %s outside declared range [%r, %r]" % (w, FocalSet(frame, out_of_bounds), lo, hi)
+            if out_of_bounds else "source mass assigns %r to the empty set" % w
+        )
 
     if strict:
         total = checked_fsum(resolved.values())

@@ -82,6 +82,17 @@ PARSE_FAILURES = [
     (doc_text(), ["--target", "0"], "expects LO,HI"),
     (doc_text(), ["--target", "0,1,2"], "expects LO,HI"),
     (doc_text(), ["--target", "low,high"], "expects two numbers"),
+    # A JSON object that repeats a key is refused, wherever it sits.
+    (
+        '{"frame": ["A", "B"], "sources": [{"masses": {"A": 0.3, "A": 0.6}}, {"masses": {"B": 1}}]}',
+        [],
+        "duplicate key 'A' in a JSON object",
+    ),
+    (
+        '{"frame": ["A", "B"], "frame": ["A", "C"], "sources": [{"masses": {"A": 1}}, {"masses": {"A": 1}}]}',
+        [],
+        "duplicate key 'frame' in a JSON object",
+    ),
 ]
 
 NO_SOURCES = json.dumps({"frame": ["A", "B"], "sources": []})
@@ -143,6 +154,10 @@ class TestLoadDocument:
     def test_frame_must_be_strings(self):
         with pytest.raises(ParseError):
             load_document(json.dumps({"frame": ["A", 2], "sources": []}))
+
+    def test_empty_symbol_label_refused(self):
+        with pytest.raises(ValidationError, match="reserved for the empty set"):
+            load_document(doc_text(frame=("∅", "B"), sources=[{"masses": {"B": 1.0}}]))
 
     def test_weight_must_be_number(self):
         text = doc_text(sources=[{"name": "m1", "range": [0, 1], "masses": {"A": True}}])

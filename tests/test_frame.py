@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from overmass.errors import ParseError, ValidationError
 from overmass.frame import (
     EMPTY_SYMBOL,
     FocalSet,
+    Frame,
     enumerate_powerset,
     make_frame,
     parse_focal,
@@ -49,6 +53,25 @@ class TestMakeFrame:
         with pytest.raises(ValidationError):
             make_frame(["", "B"])
 
+    def test_empty_symbol_label(self):
+        with pytest.raises(ValidationError) as err:
+            make_frame([EMPTY_SYMBOL, "B"])
+        assert str(err.value) == "label '%s' is reserved for the empty set" % EMPTY_SYMBOL
+
+    def test_labels_are_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(Frame)] == ["labels"]
+        a, b = make_frame(["A", "B", "C"]), make_frame(("A", "B", "C"))
+        assert a == b and hash(a) == hash(b)
+        assert a != make_frame(["A", "C", "B"])
+        assert repr(a) == "Frame(labels=('A', 'B', 'C'))"
+        assert eval(repr(a)) == a
+
+    def test_pickle_round_trip(self):
+        frame = make_frame(["A", "B", "C"])
+        copy = pickle.loads(pickle.dumps(frame))
+        assert copy == frame and hash(copy) == hash(frame)
+        assert parse_focal("C|A", copy).bits == 0b101
+
     def test_size_cap(self):
         labels = ["e%d" % i for i in range(17)]
         with pytest.raises(ValidationError):
@@ -66,16 +89,27 @@ class TestParseFocal:
         assert parse_focal("B", ab) == ab.singleton("B")
 
     def test_unknown_label(self, ab):
-        with pytest.raises(ParseError):
-            parse_focal("C", ab)
+        with pytest.raises(ParseError) as err:
+            parse_focal("A| C", ab)
+        assert str(err.value) == "unknown label 'C' (frame is ['A', 'B'])"
 
     def test_empty_expression(self, ab):
-        with pytest.raises(ParseError):
-            parse_focal("", ab)
+        for expr in ("", "  ", None, 5):
+            with pytest.raises(ParseError) as err:
+                parse_focal(expr, ab)
+            assert str(err.value) == "empty focal-set expression"
 
     def test_blank_component(self, ab):
-        with pytest.raises(ParseError):
-            parse_focal("A|", ab)
+        for expr in ("A|", "A||B", "| B", "A| |B"):
+            with pytest.raises(ParseError) as err:
+                parse_focal(expr, ab)
+            assert str(err.value) == "empty label in focal-set expression %r" % expr
+
+    def test_first_bad_label_is_reported(self, ab):
+        with pytest.raises(ParseError, match="unknown label 'C'"):
+            parse_focal("C||A", ab)
+        with pytest.raises(ParseError, match="empty label"):
+            parse_focal("A||C", ab)
 
     def test_whitespace_tolerated(self, ab):
         assert parse_focal(" A | B ", ab) == ab.full_set()
@@ -183,3 +217,21 @@ def test_parse_render_round_trip(case):
 def test_cardinality_matches_labels(case):
     _, a, _ = case
     assert a.cardinality == len(list(a))
+
+
+@st.composite
+def spelled_subset(draw):
+    """A nonempty label subset, spelled in any order, with repeats and surrounding whitespace."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    labels = ["L%d" % i for i in range(n)] if draw(st.booleans()) else ["x y", "θ"] + ["e%d" % i for i in range(n - 2)]
+    frame = make_frame(labels)
+    members = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    pads = st.sampled_from(["", " ", "\t", "  ", "\n"])
+    expr = "|".join(draw(pads) + labels[i] + draw(pads) for i in members)
+    return frame, expr, sum(1 << i for i in set(members))
+
+
+@given(spelled_subset())
+def test_parse_focal_gives_reference_bits(case):
+    frame, expr, bits = case
+    assert parse_focal(expr, frame) == FocalSet(frame, bits)

@@ -97,13 +97,27 @@ class TestMakeMass:
         assert ab.empty_set() not in m.weights
 
     def test_duplicate_assignment(self, ab):
-        with pytest.raises(ValidationError):
-            make_mass(ab, {"A": 0.5, " A ": 0.3}, CLASSICAL_RANGE)
+        with pytest.raises(ValidationError, match=r"^focal set A\|B assigned twice$"):
+            make_mass(ab, {"A|B": 0.5, " B|A ": 0.3}, CLASSICAL_RANGE)
+        with pytest.raises(ValidationError, match="^focal set A assigned twice$"):
+            make_mass(ab, {"A": 0.5, ab.singleton("A"): 0.3}, CLASSICAL_RANGE)
+
+    def test_malformed_key_reported_before_a_bad_weight(self, ab):
+        with pytest.raises(ParseError, match="unknown label 'C'"):
+            make_mass(ab, {"A": 7.0, "C": 0.5}, CLASSICAL_RANGE)
+        with pytest.raises(ValidationError, match="assigned twice"):
+            make_mass(ab, {"A": 7.0, "A ": 0.5}, CLASSICAL_RANGE)
+        with pytest.raises(ValidationError, match=r"^weight 7\.0 on B outside declared range \[0\.0, 1\.0\]$"):
+            make_mass(ab, {"A": 0.5, "B": 7.0, "A|B": -1.0}, CLASSICAL_RANGE)
+        with pytest.raises(ValidationError, match=r"^source mass assigns 0\.5 to the empty set$"):
+            make_mass(ab, {ab.empty_set(): 0.5, "A": 7.0}, CLASSICAL_RANGE)
 
     def test_key_neither_expression_nor_focal_set_of_the_frame(self, ab):
         for key in (5, None, ("A",), make_frame(["A", "C"]).singleton("A")):
-            with pytest.raises(ValidationError, match="mass keys must be focal expressions or FocalSets of this frame"):
+            message = "mass keys must be focal expressions or FocalSets of this frame, got %r" % (key,)
+            with pytest.raises(ValidationError) as err:
                 make_mass(ab, {key: 0.5}, CLASSICAL_RANGE)
+            assert str(err.value) == message
 
     def test_unknown_label(self, ab):
         with pytest.raises(ParseError):
