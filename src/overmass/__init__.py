@@ -18,8 +18,8 @@ from .mass import (
     interval_union, make_mass, plausibility,
 )
 from .rules import (
-    FusionReport, RuleId, TraceRecord, average, conjunctive, dempster, fuse, over_normalize, pcr5,
-    total_proportional,
+    FusionReport, RuleId, TraceRecord, average, conjunctive, dempster, fuse, over_normalize,
+    pairwise_products, pcr5, total_proportional,
 )
 from .regime import CONFLICT_WARNING_THRESHOLD, Advisory, AdvisoryKind, assess, assess_fusion
 
@@ -65,6 +65,7 @@ __all__ = [
     "make_frame",
     "make_mass",
     "over_normalize",
+    "pairwise_products",
     "parse_focal",
     "pcr5",
     "plausibility",

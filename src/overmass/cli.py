@@ -114,18 +114,25 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 def load_document(data: bytes | str) -> ScenarioDocument:
     """Parse and validate a scenario document.
 
-    Structural problems, a repeated key among them, raise ParseError (with
+    Structural problems, a repeated key, bytes that are not UTF-8 and
+    nesting too deep to parse among them, raise ParseError (with
     line/column for malformed JSON); out-of-range weights and similar
     semantic problems raise ValidationError naming the offending source.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         # Integers parse as floats, so a huge one becomes inf and is rejected.
         raw = json.loads(text, parse_int=float, object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            "document is not valid UTF-8 at byte %d: %s" % (exc.start, exc.reason)
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             "invalid JSON at line %d column %d: %s" % (exc.lineno, exc.colno, exc.msg)
         ) from exc
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError("document root must be an object")
     labels = raw.get("frame")
@@ -190,14 +197,13 @@ def run_pipeline(doc: ScenarioDocument) -> FusionReport:
     conjunctive, dempster and total-proportional go through exact_fold:
     the n-ary combination is computed exactly and each field rounded once,
     so no field of the report depends on source order and a vacuous source
-    changes none; the conflict is the n-ary empty-set weight and dempster's
-    divisor is 1 - conflict. A 2-source report keeps its product trace;
-    that of three or more sources is empty. pcr5 is not associative and
-    stays a sequential left fold through fuse, so over three or more
-    sources it depends on their order. Normalization, when enabled, runs
-    once on the end result; with no target it rescales onto the union of
-    every source range. The average rule takes all sources in a single
-    call instead of folding, since the mean of means is not the mean.
+    changes none; the conflict is the n-ary empty-set weight and
+    dempster's divisor is 1 - conflict. pcr5 is not associative and stays
+    a sequential left fold through fuse, so over three or more sources it
+    depends on their order. Normalization, when enabled, runs once on the
+    end result; with no target it rescales onto the union of every source
+    range. The average rule takes all sources in a single call instead of
+    folding, since the mean of means is not the mean.
     """
     if len(doc.sources) < 2:
         raise ValidationError(

@@ -1,14 +1,16 @@
 """Combination rules and normalizations.
 
-Every rule returns a FusionReport: the combined mass plus the audit trail
-needed to reconstruct the numbers (pairwise product trace, conflict,
-normalization divisor). Every rule but average combines in one way: the
-n-ary conjunctive combination in exact integer arithmetic, each field
-rounded once. conjunctive, dempster and total-proportional take it through
-exact_fold, for two or more masses; pcr5 adds to it, for two masses, the
-float shares of each conflicting product. average is the per-set mean.
-Rules are pure functions over immutable inputs, and iteration follows
-ascending bitmask order, so identical inputs yield bit-identical reports.
+Every rule returns a FusionReport: the combined mass plus the same audit
+fields for every rule at every source count (conflict, normalization
+divisor, rule, skipped products). The pairwise products of two masses are
+an explicit call, pairwise_products. Every rule but average combines in
+one way: the n-ary conjunctive combination in exact integer arithmetic,
+each field rounded once. conjunctive, dempster and total-proportional take
+it through exact_fold, for two or more masses; pcr5 adds to it, for two
+masses, the float shares of each conflicting product. average is the
+per-set mean. Rules are pure functions over immutable inputs, and
+iteration follows ascending bitmask order, so identical inputs yield
+bit-identical reports.
 
 Guard summary: every rule but average rejects negative weights (only the
 average rule combines counter-evidence); dempster additionally requires
@@ -21,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import inf, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import RuleGuardError, ValidationError
 from .frame import FocalSet
@@ -60,38 +62,18 @@ class TraceRecord:
     assigned_to: FocalSet
 
 
-class ProductTrace(Sequence[TraceRecord]):
-    """The pairwise products of two masses as TraceRecords, built only when read.
+def pairwise_products(m1: MassFunction, m2: MassFunction) -> tuple[TraceRecord, ...]:
+    """Every pairwise product of two masses over one frame, as TraceRecords.
 
     Each focal set of m1 against each of m2, in ascending bitmask order.
-    Only the inputs are kept, so len() is free; equality is by the records.
+    A record's product is the float m1(x) * m2(y), while the rules take
+    their products exactly and round once, so adding up records can
+    differ from a report's weights and conflict in the last place.
     """
-
-    __slots__ = ("_m1", "_m2")
-
-    def __init__(self, m1: MassFunction, m2: MassFunction) -> None:
-        self._m1 = m1
-        self._m2 = m2
-
-    def __len__(self) -> int:
-        return len(self._m1.weights.bits) * len(self._m2.weights.bits)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        second = tuple(self._m2.weights.items())
-        for x, w1 in self._m1.weights.items():
-            for y, w2 in second:
-                yield TraceRecord(x, y, w1 * w2, x & y)
-
-    def __getitem__(self, index):
-        return tuple(self)[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return "ProductTrace(%d records)" % len(self)
+    if m1.frame != m2.frame:
+        raise ValidationError("cannot combine masses over different frames")
+    second = tuple(m2.weights.items())
+    return tuple(TraceRecord(x, y, w1 * w2, x & y) for x, w1 in m1.weights.items() for y, w2 in second)
 
 
 @dataclass(frozen=True)
@@ -102,8 +84,6 @@ class FusionReport:
     redistribution: the empty-set weight of the exact conjunctive
     combination, rounded once; normalization rescales it alongside the
     weights.
-    trace lists every pairwise product of a two-mass report, built only
-    when read; it is empty for average and for three or more masses.
     divisor accumulates every rescaling applied (1 when none was), so
     Dempster's is 1 - conflict however many masses it combined.
     skipped_fractions counts conflicting products discarded because both
@@ -114,7 +94,6 @@ class FusionReport:
 
     result: MassFunction
     conflict: float
-    trace: Sequence[TraceRecord]
     divisor: float
     rule: RuleId
     skipped_fractions: int = 0
@@ -203,7 +182,7 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
         weights[b] = checked_fsum([weights.get(b, 0.0), *parts])
     result = MassFunction(m1.frame, Weights(m1.frame, weights), interval_union(m1.range, m2.range))
     conflict = _quotient(numerators.get(0, 0), den)
-    return FusionReport(result, conflict, ProductTrace(m1, m2), 1.0, RuleId.PCR5, skipped)
+    return FusionReport(result, conflict, 1.0, RuleId.PCR5, skipped)
 
 
 def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
@@ -211,8 +190,8 @@ def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
 
     The divisor is the current grand total over the target's sum; for two
     strict sources this equals (sum m1)(sum m2)/(lo+hi). Every weight,
-    the conflict field, and the empty-set bucket are divided by it; the
-    trace keeps the raw products. The result adopts the target range.
+    the conflict field, and the empty-set bucket are divided by it. The
+    result adopts the target range.
     """
     if target.total <= 0.0:
         raise RuleGuardError(
@@ -276,7 +255,7 @@ def average(masses: Sequence[MassFunction]) -> FusionReport:
     keys = {b for m in pool for b in m.weights.bits} - {0}
     weights = {b: checked_fsum(m.weights.bits.get(b, 0.0) for m in pool) / len(pool) for b in keys}
     result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
-    return FusionReport(result, 0.0, (), 1.0, RuleId.AVERAGE)
+    return FusionReport(result, 0.0, 1.0, RuleId.AVERAGE)
 
 
 def fuse(
@@ -322,9 +301,8 @@ def exact_fold(
     is its divisor, and total-proportional spreads the conflict over the
     focal sets pro rata. So every field of the report, and whether the
     rule refuses, is the same in any order of the masses, and a vacuous
-    mass changes none of them. The trace of two masses is their
-    ProductTrace; that of three or more is empty. Negative weights and
-    Dempster's input conditions are checked on every mass first.
+    mass changes none of them. Negative weights and Dempster's input
+    conditions are checked on every mass first.
     total-proportional then rescales as fuse does.
     """
     pool = tuple(masses)
@@ -502,16 +480,15 @@ def _fold_report(
     frame = pool[0].frame
     e = numerators.get(0, 0)
     k = _quotient(e, den)
-    trace = ProductTrace(*pool) if len(pool) == 2 else ()
     if rule is RuleId.DEMPSTER:
         _require_renormalizable(k)
         weights = {b: _quotient(n, den - e) for b, n in numerators.items() if b}
         result = MassFunction(frame, Weights(frame, weights), CLASSICAL_RANGE)
-        return FusionReport(result, k, trace, _quotient(den - e, den), rule)
+        return FusionReport(result, k, _quotient(den - e, den), rule)
     if rule is RuleId.TOTAL_PROPORTIONAL:
         weights = _spread(numerators, den)
     else:
         weights = {b: _quotient(n, den) for b, n in numerators.items()}
     result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
-    return FusionReport(result, k, trace, 1.0, rule)
+    return FusionReport(result, k, 1.0, rule)
 

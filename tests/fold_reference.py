@@ -44,4 +44,4 @@ def fraction_fold(masses, rule):
     else:
         mass_range = interval_union(*(m.range for m in masses))
     weights = Weights(frame, {b: float(w) for b, w in acc.items()})
-    return FusionReport(MassFunction(frame, weights, mass_range), float(k), (), float(divisor), rule)
+    return FusionReport(MassFunction(frame, weights, mass_range), float(k), float(divisor), rule)

