@@ -18,8 +18,8 @@ from .mass import (
     interval_union, make_mass, plausibility,
 )
 from .rules import (
-    FusionReport, RuleId, TraceRecord, average, conjunctive, dempster, fuse, over_normalize,
-    pairwise_products, pcr5, total_proportional,
+    FusionReport, RuleId, TraceRecord, average, combine, conjunctive, dempster, fuse,
+    over_normalize, pairwise_products, pcr5, total_proportional,
 )
 from .regime import CONFLICT_WARNING_THRESHOLD, Advisory, AdvisoryKind, assess, assess_fusion
 
@@ -57,6 +57,7 @@ __all__ = [
     "best_singleton",
     "classify_range",
     "classify_sum",
+    "combine",
     "conjunctive",
     "dempster",
     "enumerate_powerset",

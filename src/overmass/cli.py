@@ -41,7 +41,8 @@ from .mass import (
     make_mass,
 )
 from .regime import assess
-from .rules import FusionReport, RuleId, average, exact_fold, fuse
+from .rules import FusionReport, RuleId, combine, fuse
+from .rules import average  # unused here; bench/runner.py traces calls by patching cli.average
 
 @dataclass(frozen=True)
 class Source:
@@ -192,33 +193,19 @@ def render_document(doc: ScenarioDocument) -> str:
 
 
 def run_pipeline(doc: ScenarioDocument) -> FusionReport:
-    """Combine the document's two or more sources with its declared pipeline.
+    """Combine the document's two or more sources with its declared pipeline: one rules.combine call.
 
-    conjunctive, dempster and total-proportional go through exact_fold:
-    the n-ary combination is computed exactly and each field rounded once,
-    so no field of the report depends on source order and a vacuous source
-    changes none; the conflict is the n-ary empty-set weight and
-    dempster's divisor is 1 - conflict. pcr5 is not associative and stays
-    a sequential left fold through fuse, so over three or more sources it
-    depends on their order. Normalization, when enabled, runs once on the
-    end result; with no target it rescales onto the union of every source
-    range. The average rule takes all sources in a single call instead of
-    folding, since the mean of means is not the mean.
+    Normalization, when enabled, runs once on the end result; with no
+    target it rescales onto the union of every source range. Under
+    conjunctive, dempster and total-proportional no field of the report
+    depends on source order, and a vacuous source changes none.
     """
     if len(doc.sources) < 2:
         raise ValidationError(
             "pipeline needs at least two sources, got %d" % len(doc.sources)
         )
-    masses = [s.mass for s in doc.sources]
     spec = doc.pipeline
-    if spec.rule is RuleId.AVERAGE:
-        return average(masses)
-    if spec.rule is not RuleId.PCR5:
-        return exact_fold(masses, spec.rule, spec.target, normalize=spec.normalize)
-    acc = masses[0]
-    for m in masses[1:-1]:
-        acc = fuse(acc, m, spec.rule, normalize=False).result
-    return fuse(acc, masses[-1], spec.rule, target=spec.target, normalize=spec.normalize)
+    return combine([s.mass for s in doc.sources], spec.rule, spec.target, normalize=spec.normalize)
 
 
 def _columns(report: FusionReport, precision: int) -> tuple[list[str], list[str]]:

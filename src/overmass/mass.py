@@ -10,6 +10,7 @@ declared interval yet deficient by its total, and both facts are reported.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +34,11 @@ def checked_fsum(values: Iterable[float]) -> float:
 
 
 def _as_float(value: float) -> float:
-    """float(value), raising ValidationError for a number beyond the float range."""
+    """float(value) for a real number; ValidationError for a bool, a string, any other type, or beyond the float range."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError("%r is not a real number" % (value,))
     try:
         return float(value)
     except OverflowError:
@@ -139,6 +144,11 @@ class Weights(Mapping[FocalSet, float]):
 
     def __len__(self) -> int:
         return len(self.bits)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Weights):
+            return self.frame == other.frame and self.bits == other.bits
+        return Mapping.__eq__(self, other)
 
     def __repr__(self) -> str:
         return "Weights(%r)" % {str(fs): w for fs, w in self.items()}

@@ -5,12 +5,13 @@ fields for every rule at every source count (conflict, normalization
 divisor, rule, skipped products). The pairwise products of two masses are
 an explicit call, pairwise_products. Every rule but average combines in
 one way: the n-ary conjunctive combination in exact integer arithmetic,
-each field rounded once. conjunctive, dempster and total-proportional take
-it through exact_fold, for two or more masses; pcr5 adds to it, for two
-masses, the float shares of each conflicting product. average is the
-per-set mean. Rules are pure functions over immutable inputs, and
-iteration follows ascending bitmask order, so identical inputs yield
-bit-identical reports.
+each field rounded once. pcr5 adds to it, for two masses, the float
+shares of each conflicting product. average is the per-set mean. combine
+is the one dispatcher: for two or more masses it picks the rule, runs
+pcr5 as a left fold, and rescales once at the end; fuse is combine of two
+masses. Rules are pure functions over immutable inputs, and iteration
+follows ascending bitmask order, so identical inputs yield bit-identical
+reports.
 
 Guard summary: every rule but average rejects negative weights (only the
 average rule combines counter-evidence); dempster additionally requires
@@ -115,9 +116,9 @@ def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
     Each pair of focal sets contributes the product of its weights to
     their intersection; disjoint pairs pile up on the empty set, and that
     pile is reported as the conflict. The grand total of the result
-    equals the product of the input totals. Computed by exact_fold.
+    equals the product of the input totals. Computed by combine.
     """
-    return exact_fold((m1, m2), RuleId.CONJUNCTIVE)
+    return combine((m1, m2), RuleId.CONJUNCTIVE)
 
 
 def _require_dempster_input(position: int, m: MassFunction) -> None:
@@ -140,14 +141,14 @@ def _require_renormalizable(k: float) -> None:
 
 
 def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
-    """Dempster's rule: conjunctive combination renormalized by 1 - k. Computed by exact_fold."""
-    return exact_fold((m1, m2), RuleId.DEMPSTER)
+    """Dempster's rule: conjunctive combination renormalized by 1 - k. Computed by combine."""
+    return combine((m1, m2), RuleId.DEMPSTER)
 
 
 def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
     """Conjunctive combination with per-product conflict redistribution.
 
-    The conjunctive part and the conflict are exact_fold's: taken exactly,
+    The conjunctive part and the conflict are conjunctive's: taken exactly,
     then rounded once. Every conflicting product p = m1(x)*m2(y) (x
     and y disjoint) is then split back onto x and y in proportion to the
     source weights that produced it: x receives m1(x)*p/(m1(x)+m2(y)) and
@@ -231,7 +232,7 @@ def total_proportional(report: FusionReport) -> FusionReport:
     grand total are both preserved. Distinct from pcr5, which splits each
     conflicting product between the two sets that produced it; this rule
     feeds every focal set, conflicting or not. Each weight is taken
-    exactly and rounded once, by the same spread exact_fold applies.
+    exactly and rounded once, by the same spread combine applies.
     """
     result = report.result
     weights = _spread(*_scaled(result))
@@ -266,58 +267,53 @@ def fuse(
     *,
     normalize: bool = True,
 ) -> FusionReport:
-    """Combine, redistribute the conflict, then rescale onto target.
-
-    Redistribution is pcr5's per-product split, total-proportional's pro
-    rata spread, Dempster's renormalization, or none (conjunctive); the
-    last three run as exact_fold of the two masses. The normalize flag
-    appends the rescaling stage to pcr5 and total-proportional; target
-    defaults to the union of the input ranges. Average takes no stage: it
-    is the mean of the two inputs.
-    """
-    if rule is RuleId.AVERAGE:
-        return average((m1, m2))
-    if rule is not RuleId.PCR5:
-        return exact_fold((m1, m2), rule, target, normalize=normalize)
-    report = pcr5(m1, m2)
-    if not normalize:
-        return report
-    return over_normalize(report, target or interval_union(m1.range, m2.range))
+    """Combine, redistribute the conflict, then rescale onto target: combine of the two masses."""
+    return combine((m1, m2), rule, target, normalize=normalize)
 
 
-def exact_fold(
+def combine(
     masses: Sequence[MassFunction],
-    rule: RuleId,
+    rule: RuleId = RuleId.PCR5,
     target: MassRange | None = None,
     *,
     normalize: bool = True,
 ) -> FusionReport:
-    """Two or more masses combined in exact arithmetic, each field rounded once.
+    """Two or more masses through one pipeline: combine, redistribute the conflict, rescale.
 
-    The one implementation of conjunctive, dempster and total-proportional.
-    Every double is an integer over a power of two, so the n-ary
-    conjunctive combination is exact in Python ints. Its empty-set weight
-    is the conflict; dempster renormalizes the rest by 1 - conflict, which
-    is its divisor, and total-proportional spreads the conflict over the
-    focal sets pro rata. So every field of the report, and whether the
-    rule refuses, is the same in any order of the masses, and a vacuous
-    mass changes none of them. Negative weights and Dempster's input
-    conditions are checked on every mass first.
-    total-proportional then rescales as fuse does.
+    average is the per-set mean of the whole pool. pcr5 is not
+    associative, so it runs as a left fold of pairwise pcr5 calls, each
+    intermediate result left unnormalized, and over three or more masses
+    it depends on their order. conjunctive, dempster and total-proportional
+    take the n-ary conjunctive combination exactly, each field rounded
+    once: its empty-set weight is the conflict; dempster renormalizes the
+    rest by 1 - conflict, which is its divisor, and total-proportional
+    spreads the conflict over the focal sets pro rata. So every field of
+    their report, and whether the rule refuses, is the same in any order
+    of the masses, and a vacuous mass changes none of them. Negative
+    weights and Dempster's input conditions are checked on every mass
+    first. Last, with normalize, pcr5 and total-proportional rescale once
+    onto target, which defaults to the union of the input ranges.
     """
     pool = tuple(masses)
     if len(pool) < 2:
         raise ValidationError("a fold needs at least two masses, got %d" % len(pool))
-    if rule not in (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL):
-        raise ValidationError("exact_fold takes conjunctive, dempster or total-proportional, not %r" % (rule,))
-    if rule is RuleId.DEMPSTER:
-        for position, m in enumerate(pool, 1):
-            _require_dempster_input(position, m)
-    _check_masses(pool)
-    report = _fold_report(pool, rule, *_conjunctive_numerators(pool))
-    if rule is not RuleId.TOTAL_PROPORTIONAL or not normalize:
+    if not isinstance(rule, RuleId):
+        raise ValidationError("unknown rule %r; choose a RuleId" % (rule,))
+    if rule is RuleId.AVERAGE:
+        return average(pool)
+    if rule is RuleId.PCR5:
+        report = pcr5(pool[0], pool[1])
+        for m in pool[2:]:
+            report = pcr5(report.result, m)
+    else:
+        if rule is RuleId.DEMPSTER:
+            for position, m in enumerate(pool, 1):
+                _require_dempster_input(position, m)
+        _check_masses(pool)
+        report = _fold_report(pool, rule, *_conjunctive_numerators(pool))
+    if not normalize or rule not in (RuleId.PCR5, RuleId.TOTAL_PROPORTIONAL):
         return report
-    return over_normalize(report, target or report.result.range)
+    return over_normalize(report, target or interval_union(*(m.range for m in pool)))
 
 
 def _conjunctive_numerators(pool: Sequence[MassFunction]) -> tuple[dict[int, int], int]:

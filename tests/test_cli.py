@@ -557,13 +557,13 @@ class TestEntryPoints:
         for command in ("fuse", "classify", "belpl", "paper-examples"):
             assert command in proc.stdout
 
-    def test_exact_fold_loads_no_rational_modules(self):
+    def test_combine_loads_no_rational_modules(self):
         proc = run_child(
             "-c",
             "import sys, overmass; "
             "f = overmass.make_frame(['A', 'B']); "
             "m = overmass.make_mass(f, {'A': 0.6, 'A|B': 0.4}, overmass.CLASSICAL_RANGE); "
-            "overmass.rules.exact_fold([m, m, m], overmass.RuleId.DEMPSTER); "
+            "overmass.combine([m, m, m], overmass.RuleId.DEMPSTER); "
             "print(sorted({'decimal', 'fractions'} & set(sys.modules)))",
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,4 @@
-"""exact_fold: conjunctive, Dempster and total-proportional over two or more sources, exact and rounded once."""
+"""combine under conjunctive, Dempster and total-proportional: two or more sources, exact and rounded once."""
 
 import json
 from itertools import permutations
@@ -14,7 +14,7 @@ from overmass.cli import PipelineSpec, ScenarioDocument, Source, main, run_pipel
 from overmass.errors import RuleGuardError, ValidationError
 from overmass.frame import make_frame
 from overmass.mass import CLASSICAL_RANGE, SUM_EPSILON, MassFunction, MassRange, Weights, make_mass
-from overmass.rules import RuleId, exact_fold, over_normalize
+from overmass.rules import RuleId, average, combine, over_normalize, pcr5
 
 LABELS = "ABCDEF"
 FOLDED = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
@@ -55,9 +55,9 @@ def test_equals_the_fraction_fold_rounded_once(data):
     rule = data.draw(st.sampled_from(FOLDED))
     masses = data.draw(source_lists(rule))
     want = outcome(lambda: fraction_fold(masses, rule))
-    assert outcome(lambda: exact_fold(masses, rule, normalize=False)) == want
+    assert outcome(lambda: combine(masses, rule, normalize=False)) == want
     if rule is RuleId.TOTAL_PROPORTIONAL and want is not RuleGuardError:
-        assert outcome(lambda: exact_fold(masses, rule)) == outcome(lambda: over_normalize(want, want.result.range))
+        assert outcome(lambda: combine(masses, rule)) == outcome(lambda: over_normalize(want, want.result.range))
 
 
 @settings(max_examples=30, deadline=None)
@@ -67,7 +67,7 @@ def test_weights_do_not_depend_on_source_order(data):
     for rule in FOLDED:
         masses = data.draw(source_lists(rule, max_labels=4))
         for normalize in (False, True):
-            first, *rest = [outcome(lambda: exact_fold(order, rule, normalize=normalize))
+            first, *rest = [outcome(lambda: combine(order, rule, normalize=normalize))
                             for order in permutations(masses)]
             assert all(report == first for report in rest)
 
@@ -128,7 +128,7 @@ class TestGuards:
     ab = make_frame(["A", "B"])
 
     def fold(self, rule, *assignments, mass_range=CLASSICAL_RANGE):
-        return exact_fold([make_mass(self.ab, a, mass_range) for a in assignments], rule)
+        return combine([make_mass(self.ab, a, mass_range) for a in assignments], rule)
 
     def test_dempster_total_conflict_refused(self):
         with pytest.raises(RuleGuardError, match="leaves nothing to renormalize"):
@@ -138,7 +138,7 @@ class TestGuards:
         # Each source is within SUM_EPSILON of 1, though a two-source step of them is not.
         surplus = {"A": 0.5, "B": 0.5 + 0.9e-9}
         masses = [make_mass(self.ab, a, CLASSICAL_RANGE) for a in (surplus, surplus, {"A|B": 1.0})]
-        assert exact_fold(masses, RuleId.DEMPSTER) == fraction_fold(masses, RuleId.DEMPSTER)
+        assert combine(masses, RuleId.DEMPSTER) == fraction_fold(masses, RuleId.DEMPSTER)
 
     def test_dempster_source_off_balance_refused_before_the_fold(self):
         off = {"A": 0.5, "B": 0.5 + 1.1e-9}
@@ -149,7 +149,7 @@ class TestGuards:
 
     def test_every_source_checked_before_the_fold(self):
         with pytest.raises(RuleGuardError, match="but input 3 is over by range"):
-            exact_fold(
+            combine(
                 [make_mass(self.ab, {"A": 1.0}, CLASSICAL_RANGE), make_mass(self.ab, {"B": 1.0}, CLASSICAL_RANGE),
                  make_mass(self.ab, {"A|B": 1.0}, MassRange(0, 1.5))],
                 RuleId.DEMPSTER,
@@ -166,10 +166,10 @@ class TestGuards:
         # A source of total 0 zeroes the combination, so no order leaves conflict without focal weight.
         masses = [make_mass(self.ab, a, MassRange(0, 1.5)) for a in ({"A": 0.0}, {"A": 1.0}, {"A": 0.0, "B": 1.0})]
         for order in permutations(masses):
-            report = exact_fold(order, RuleId.TOTAL_PROPORTIONAL, normalize=False)
+            report = combine(order, RuleId.TOTAL_PROPORTIONAL, normalize=False)
             assert (dict(report.result.weights.bits), report.conflict, report.divisor) == ({0b01: 0.0}, 0.0, 1.0)
             with pytest.raises(RuleGuardError, match="grand total 0.0 gives normalization divisor 0.0"):
-                exact_fold(order, RuleId.TOTAL_PROPORTIONAL)
+                combine(order, RuleId.TOTAL_PROPORTIONAL)
 
     def test_total_proportional_factor_overflow_refused(self):
         abc = make_frame(["A", "B", "C"])
@@ -179,15 +179,19 @@ class TestGuards:
             make_mass(abc, {"A|B|C": 1.0}, MassRange(0, 1.5)),
         ]
         with pytest.raises(RuleGuardError, match=r"conflict 1\.0 over focal total 2\.225073858507e-311"):
-            exact_fold(masses, RuleId.TOTAL_PROPORTIONAL)
+            combine(masses, RuleId.TOTAL_PROPORTIONAL)
 
-    def test_other_rules_and_single_masses_rejected(self):
-        m = make_mass(self.ab, {"A": 1.0}, CLASSICAL_RANGE)
-        for rule in (RuleId.PCR5, RuleId.AVERAGE):
-            with pytest.raises(ValidationError):
-                exact_fold([m, m, m], rule)
-        with pytest.raises(ValidationError):
-            exact_fold([m], RuleId.CONJUNCTIVE)
+    def test_pcr5_folds_left_average_takes_the_pool_and_single_masses_rejected(self):
+        weights = ({"A": 0.7, "B": 0.5}, {"B": 0.6, "A|B": 0.4}, {"A": 0.9})
+        a, b, c = (make_mass(self.ab, w, MassRange(0, 1.2)) for w in weights)
+        target = MassRange(-0.1, 1.3)
+        assert combine([a, b, c], RuleId.PCR5, target) == over_normalize(pcr5(pcr5(a, b).result, c), target)
+        assert combine([a, b, c], RuleId.AVERAGE) == average([a, b, c])
+        for rule in RuleId:
+            with pytest.raises(ValidationError, match="a fold needs at least two masses, got 1"):
+                combine([a], rule)
+        with pytest.raises(ValidationError, match="unknown rule 'pcr5'"):
+            combine([a, b], "pcr5")
 
 
 def overflow_document(*weights, rule):

@@ -1,7 +1,7 @@
 """The two-source rules against references that share none of their code.
 
 Every rule's conjunctive part is the exact combination of the pair,
-rounded once. conjunctive, dempster and total-proportional are exact_fold
+rounded once. conjunctive, dempster and total-proportional are combine
 of the pair, so they must equal the rational reference rounded once,
 field for field. pcr5 is checked against an oracle built on the same
 rational reference: its conflict and each set's conjunctive weight are
@@ -38,9 +38,9 @@ from overmass.rules import (
     FusionReport,
     RuleId,
     TraceRecord,
+    combine,
     conjunctive,
     dempster,
-    exact_fold,
     fuse,
     over_normalize,
     pairwise_products,
@@ -180,7 +180,7 @@ def test_no_rule_builds_a_trace_record(monkeypatch):
 
     def reports():
         pairs = [conjunctive(m, m), pcr5(m, m), total_proportional(conjunctive(m, m)), fuse(m, m)]
-        triples = [exact_fold((m, m, m), rule) for rule in (RuleId.CONJUNCTIVE, RuleId.TOTAL_PROPORTIONAL)]
+        triples = [combine((m, m, m), rule) for rule in (RuleId.CONJUNCTIVE, RuleId.TOTAL_PROPORTIONAL)]
         return pairs + triples + [over_normalize(report, MassRange(0, 1.2)) for report in pairs + triples]
 
     assert reports() == reports()

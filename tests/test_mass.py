@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from overmass.cli import render_table
@@ -45,6 +48,11 @@ class TestMassRange:
         for lo, hi in ((0.0, float("inf")), (float("-inf"), 1.0), (float("nan"), float("nan"))):
             with pytest.raises(ValidationError):
                 MassRange(lo, hi)
+
+    @pytest.mark.parametrize("bounds", [("x", 2), (0, "1.5"), (None, 1), (0, True), (False, 1)])
+    def test_bounds_must_be_real_numbers(self, bounds):
+        with pytest.raises(ValidationError, match="is not a real number"):
+            MassRange(*bounds)
 
     def test_contains(self):
         r = MassRange(-0.1, 1.2)
@@ -122,6 +130,17 @@ class TestMakeMass:
     def test_unknown_label(self, ab):
         with pytest.raises(ParseError):
             make_mass(ab, {"C": 0.5}, CLASSICAL_RANGE)
+
+    @pytest.mark.parametrize("weight", ["0.5", "abc", True, False, None, [0.5], 0.5j])
+    def test_weight_must_be_a_real_number(self, ab, weight):
+        with pytest.raises(ValidationError, match=r"^%s is not a real number$" % re.escape(repr(weight))):
+            make_mass(ab, {"A": weight}, CLASSICAL_RANGE)
+        with pytest.raises(ValidationError, match="is not a real number"):
+            Weights(ab, {1: weight})
+
+    def test_integer_and_rational_weights_become_floats(self, ab):
+        m = make_mass(ab, {"A": 1, "B": Fraction(1, 4)}, MassRange(0, 1.5))
+        assert m.weights.bits == {1: 1.0, 2: 0.25} and all(type(w) is float for w in m.weights.bits.values())
 
     def test_strict_accepts_published_tables(self, ab):
         tables = [
@@ -266,6 +285,7 @@ class TestWeights:
         assert report.result.total == pytest.approx(1.5)
         assert belief_interval(report.result, query).classical
         assert len(report.result.weights) > len(m1.weights)
+        assert report == fuse(m1, m2, RuleId.PCR5) and report != fuse(m2, m1, RuleId.CONJUNCTIVE)
         assert built == []
         columns = render_table(report).splitlines()[0].split()
         assert columns[-2:] == ["∅", "sum"] and len(built) <= len(columns)
