@@ -183,7 +183,7 @@ def render_document(doc: ScenarioDocument) -> str:
             {
                 "name": s.name,
                 "range": [s.mass.range.lo, s.mass.range.hi],
-                "masses": {str(fs): w for fs, w in s.mass.weights.items()},
+                "masses": {s.mass.frame._format_bits(b): w for b, w in s.mass.weights.bits.items()},
             }
             for s in doc.sources
         ],
@@ -210,7 +210,7 @@ def run_pipeline(doc: ScenarioDocument) -> FusionReport:
 
 def _columns(report: FusionReport, precision: int) -> tuple[list[str], list[str]]:
     result = report.result
-    headers = [str(fs) for fs in result.focal_sets()] + [EMPTY_SYMBOL, "sum"]
+    headers = [result.frame._format_bits(b) for b in result.weights.bits if b] + [EMPTY_SYMBOL, "sum"]
     values = [w for b, w in result.weights.bits.items() if b] + [result.conflict_weight, result.total]
     return headers, ["%.*f" % (precision, v) for v in values]
 

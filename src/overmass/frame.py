@@ -69,6 +69,16 @@ class Frame:
             bits |= bit_of[label] if label in bit_of else 1 << self.index(label)  # index raises for an unknown label
         return bits
 
+    def _format_bits(self, bits: int) -> str:
+        """The textual form of a bitmask, the inverse of _parse_bits: set labels joined by the separator, or the empty symbol."""
+        labels = self.labels
+        names = []
+        while bits:
+            low = bits & -bits
+            names.append(labels[low.bit_length() - 1])
+            bits ^= low
+        return SEPARATOR.join(names) or EMPTY_SYMBOL
+
     def empty_set(self) -> FocalSet:
         return FocalSet(self, 0)
 
@@ -134,9 +144,7 @@ class FocalSet:
 
     def __str__(self) -> str:
         """Textual form: member labels joined by the separator, or the empty symbol."""
-        if self.is_empty:
-            return EMPTY_SYMBOL
-        return SEPARATOR.join(self.labels())
+        return self.frame._format_bits(self.bits)
 
 
 def _require_same_frame(a: FocalSet, b: FocalSet) -> None:

@@ -118,13 +118,12 @@ class Weights(Mapping[FocalSet, float]):
     __slots__ = ("frame", "bits")
 
     def __init__(self, frame: Frame, bits: Mapping[int, float]) -> None:
-        cleaned: dict[int, float] = {}
-        for b in sorted(bits):
-            w = _as_float(bits[b])
-            if not math.isfinite(w):
-                raise ValidationError("weight %r on %s is not finite" % (w, FocalSet(frame, b)))
-            if b or w != 0.0:
-                cleaned[b] = w
+        cleaned = {b: w if type(w) is float else _as_float(w) for b, w in sorted(bits.items())}
+        if not all(map(math.isfinite, cleaned.values())):
+            b = next(b for b, w in cleaned.items() if not math.isfinite(w))
+            raise ValidationError("weight %r on %s is not finite" % (cleaned[b], FocalSet(frame, b)))
+        if cleaned.get(0) == 0.0:
+            del cleaned[0]
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "bits", MappingProxyType(cleaned))
 
@@ -151,7 +150,7 @@ class Weights(Mapping[FocalSet, float]):
         return Mapping.__eq__(self, other)
 
     def __repr__(self) -> str:
-        return "Weights(%r)" % {str(fs): w for fs, w in self.items()}
+        return "Weights(%r)" % {self.frame._format_bits(b): w for b, w in self.bits.items()}
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from overmass.cli import render_table
+from overmass.cli import render_csv, render_table
 from overmass.errors import ParseError, ValidationError
 from overmass.frame import FocalSet, make_frame, parse_focal
 from overmass.mass import (
@@ -288,7 +288,8 @@ class TestWeights:
         assert report == fuse(m1, m2, RuleId.PCR5) and report != fuse(m2, m1, RuleId.CONJUNCTIVE)
         assert built == []
         columns = render_table(report).splitlines()[0].split()
-        assert columns[-2:] == ["∅", "sum"] and len(built) <= len(columns)
+        assert columns[-2:] == ["∅", "sum"] and built == []
+        assert render_csv(report).splitlines()[0].split(",") == columns and built == []
 
 
 class TestClassification:
