@@ -70,7 +70,7 @@ class Frame:
         return bits
 
     def _format_bits(self, bits: int) -> str:
-        """The textual form of a bitmask, the inverse of _parse_bits: set labels joined by the separator, or the empty symbol."""
+        """The inverse of _parse_bits: the labels of the set bits joined by the separator, or the empty symbol."""
         labels = self.labels
         names = []
         while bits:

@@ -118,10 +118,12 @@ class Weights(Mapping[FocalSet, float]):
     __slots__ = ("frame", "bits")
 
     def __init__(self, frame: Frame, bits: Mapping[int, float]) -> None:
-        cleaned = {b: w if type(w) is float else _as_float(w) for b, w in sorted(bits.items())}
-        if not all(map(math.isfinite, cleaned.values())):
-            b = next(b for b, w in cleaned.items() if not math.isfinite(w))
-            raise ValidationError("weight %r on %s is not finite" % (cleaned[b], FocalSet(frame, b)))
+        cleaned = {b: bits[b] for b in sorted(bits)}
+        for b, w in cleaned.items():  # a finite float passes as it is; any other weight is converted, then checked
+            if type(w) is not float or not math.isfinite(w):
+                w = cleaned[b] = _as_float(w)
+                if not math.isfinite(w):
+                    raise ValidationError("weight %r on %s is not finite" % (w, FocalSet(frame, b)))
         if cleaned.get(0) == 0.0:
             del cleaned[0]
         object.__setattr__(self, "frame", frame)

@@ -121,15 +121,19 @@ def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
     return combine((m1, m2), RuleId.CONJUNCTIVE)
 
 
-def _require_dempster_input(position: int, m: MassFunction) -> None:
-    range_class = classify_range(m)
-    sum_class = classify_sum(m)
-    if range_class is not RangeClass.CLASSICAL or sum_class is not SumClass.BALANCED:
+def _require_dempster_inputs(pool: Sequence[MassFunction]) -> None:
+    """Refuse unless every mass is classical and balanced, in a message that does not depend on their order."""
+    classes = [(classify_range(m), classify_sum(m)) for m in pool]
+    refused = [c for c in classes if c != (RangeClass.CLASSICAL, SumClass.BALANCED)]
+    if refused:
+        kinds = ", ".join(
+            "%s by range and %s by sum" % (r.value, s.value)
+            for r in RangeClass for s in SumClass if (r, s) in refused
+        )
         raise RuleGuardError(
-            "dempster requires classical masses summing to 1, but input %d "
-            "is %s by range and %s by sum; permitted here: pcr5, "
-            "total-proportional, conjunctive (average for negative weights)"
-            % (position, range_class.value, sum_class.value)
+            "dempster requires classical masses summing to 1, but refuses %d of %d inputs: %s; "
+            "permitted here: pcr5, total-proportional, conjunctive (average for negative weights)"
+            % (len(refused), len(pool), kinds)
         )
 
 
@@ -307,8 +311,7 @@ def combine(
             report = pcr5(report.result, m)
     else:
         if rule is RuleId.DEMPSTER:
-            for position, m in enumerate(pool, 1):
-                _require_dempster_input(position, m)
+            _require_dempster_inputs(pool)
         _check_masses(pool)
         report = _fold_report(pool, rule, *_conjunctive_numerators(pool))
     if not normalize or rule not in (RuleId.PCR5, RuleId.TOTAL_PROPORTIONAL):

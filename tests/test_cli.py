@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import permutations
@@ -23,8 +24,9 @@ from overmass.cli import (
     run_pipeline,
 )
 from overmass.errors import ParseError, RuleGuardError, ValidationError
-from overmass.mass import MassRange, interval_union
-from overmass.rules import RuleId, fuse, over_normalize
+from overmass.frame import make_frame
+from overmass.mass import CLASSICAL_RANGE, MassFunction, MassRange, Weights, interval_union
+from overmass.rules import FusionReport, RuleId, fuse, over_normalize
 
 WILDFIRE = Path(__file__).resolve().parents[1] / "examples" / "wildfire.json"
 DEMPSTER_PAIR = WILDFIRE.with_name("dempster-pair.json")
@@ -308,6 +310,15 @@ class TestRendering:
             ["fire, north", 'say "B"', "C\nD", "∅", "sum"],
             ["0.420", "0.280", "0.120", "0.180", "1.000"],
         ]
+
+    def test_csv_headers_name_every_set_of_an_awkward_frame(self):
+        labels = ("θ1", "fire, north", 'say "B"', "ü", "x y", "日本") + tuple("L%d" % i for i in range(10))
+        frame = make_frame(labels)
+        rng = random.Random(16)
+        bits = {rng.randrange(1, 1 << 16): 0.001 for _ in range(300)}
+        report = FusionReport(MassFunction(frame, Weights(frame, bits), CLASSICAL_RANGE), 0.0, 1.0, RuleId.CONJUNCTIVE)
+        headers, _ = csv.reader(render_csv(report, 3).splitlines(keepends=True))
+        assert headers == ["|".join(l for i, l in enumerate(labels) if b >> i & 1) for b in sorted(bits)] + ["∅", "sum"]
 
     def test_average_table_low_precision(self):
         doc = load_document(doc_text(sources=NEGATIVE_SOURCES, pipeline={"rule": "average"}))

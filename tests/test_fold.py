@@ -143,12 +143,32 @@ class TestGuards:
     def test_dempster_source_off_balance_refused_before_the_fold(self):
         off = {"A": 0.5, "B": 0.5 + 1.1e-9}
         for assignments in ((off, {"A": 1.0}, {"A|B": 1.0}), ({"A": 1.0}, {"A|B": 1.0}, off)):
-            position = 1 if assignments[0] is off else 3
-            with pytest.raises(RuleGuardError, match="but input %d is classical by range and surplus by sum" % position):
+            with pytest.raises(RuleGuardError, match="but refuses 1 of 3 inputs: classical by range and surplus by sum;"):
                 self.fold(RuleId.DEMPSTER, *assignments)
 
+    def test_dempster_refusal_names_no_position(self):
+        over = MassRange(0, 1.5)
+        masses = [
+            make_mass(self.ab, {"A": 0.5}, CLASSICAL_RANGE),
+            make_mass(self.ab, {"A|B": 1.0}, over),
+            make_mass(self.ab, {"A": 0.5, "B": 0.5 + 1.1e-9}, CLASSICAL_RANGE),
+            make_mass(self.ab, {"A": 1.0}, CLASSICAL_RANGE),
+            make_mass(self.ab, {"B": 1.0}, over),
+        ]
+        messages = set()
+        for order in permutations(masses):
+            with pytest.raises(RuleGuardError) as refusal:
+                combine(order, RuleId.DEMPSTER)
+            messages.add(str(refusal.value))
+        assert messages == {
+            "dempster requires classical masses summing to 1, but refuses 4 of 5 inputs: "
+            "classical by range and surplus by sum, classical by range and deficit by sum, "
+            "over by range and balanced by sum; "
+            "permitted here: pcr5, total-proportional, conjunctive (average for negative weights)"
+        }
+
     def test_every_source_checked_before_the_fold(self):
-        with pytest.raises(RuleGuardError, match="but input 3 is over by range"):
+        with pytest.raises(RuleGuardError, match="but refuses 1 of 3 inputs: over by range and balanced by sum;"):
             combine(
                 [make_mass(self.ab, {"A": 1.0}, CLASSICAL_RANGE), make_mass(self.ab, {"B": 1.0}, CLASSICAL_RANGE),
                  make_mass(self.ab, {"A|B": 1.0}, MassRange(0, 1.5))],

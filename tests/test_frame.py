@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -119,6 +120,31 @@ class TestParseFocal:
 
     def test_empty_set_renders_symbol(self, ab):
         assert str(ab.empty_set()) == EMPTY_SYMBOL
+
+
+#: Labels that need care in text and CSV: non-ASCII, a comma, quotes, inner space.
+AWKWARD_LABELS = ("θ1", "fire, north", 'say "B"', "ü", "x y", "日本") + tuple("L%d" % i for i in range(10))
+
+
+def reference_name(labels, bits):
+    return "|".join(label for i, label in enumerate(labels) if bits >> i & 1) or "∅"
+
+
+class TestFormatBits:
+    def test_every_subset_of_ten_labels(self):
+        frame = make_frame(["L%d" % i for i in range(10)])
+        for bits in range(1 << 10):
+            name = frame._format_bits(bits)
+            assert name == reference_name(frame.labels, bits) == str(FocalSet(frame, bits))
+            assert bits == 0 or frame._parse_bits(name) == bits
+
+    def test_random_masks_of_sixteen_awkward_labels(self):
+        frame = make_frame(AWKWARD_LABELS)
+        rng = random.Random(16)
+        for bits in [0, (1 << 16) - 1] + [rng.randrange(1 << 16) for _ in range(2000)]:
+            name = frame._format_bits(bits)
+            assert name == reference_name(AWKWARD_LABELS, bits)
+            assert bits == 0 or frame._parse_bits(name) == bits
 
 
 class TestSetAlgebra:

@@ -261,6 +261,22 @@ class TestWeights:
             with pytest.raises(ValidationError):
                 Weights(ab, {1: w})
 
+    def test_converts_and_checks_each_weight(self, ab):
+        abc = make_frame("ABC")
+        weights = Weights(abc, {6: Fraction(1, 4), 0: -0.0, 1: 0.0, 3: 2})
+        assert weights.bits == {1: 0.0, 3: 2.0, 6: 0.25} and all(type(w) is float for w in weights.bits.values())
+        assert repr(weights) == "Weights({'A': 0.0, 'A|B': 2.0, 'B|C': 0.25})"
+        for bad in (True, "0.5"):
+            with pytest.raises(ValidationError, match="is not a real number"):
+                Weights(ab, {1: bad})
+        with pytest.raises(ValidationError, match=r"^weight inf on A\|B is not finite$"):
+            Weights(abc, {5: float("nan"), 3: float("inf")})
+        # The first bad weight in ascending bit order is the one reported, whatever is wrong with it.
+        with pytest.raises(ValidationError, match=r"^weight inf on A is not finite$"):
+            Weights(abc, {2: "0.5", 1: float("inf")})
+        with pytest.raises(ValidationError, match="is not a real number"):
+            Weights(abc, {1: "0.5", 2: float("inf")})
+
     def test_weights_of_another_frame_rejected(self, ab):
         weights = Weights(make_frame(["A", "C"]), {1: 1.0})
         with pytest.raises(ValidationError, match="different frame"):
