@@ -118,14 +118,15 @@ class Weights(Mapping[FocalSet, float]):
     __slots__ = ("frame", "bits")
 
     def __init__(self, frame: Frame, bits: Mapping[int, float]) -> None:
-        cleaned = {b: bits[b] for b in sorted(bits)}
-        for b, w in cleaned.items():  # a finite float passes as it is; any other weight is converted, then checked
-            if type(w) is not float or not math.isfinite(w):
-                w = cleaned[b] = _as_float(w)
+        cleaned: dict[int, float] = {}
+        for b in sorted(bits):
+            w = bits[b]
+            if type(w) is not float or not math.isfinite(w):  # a finite float passes as it is
+                w = _as_float(w)
                 if not math.isfinite(w):
                     raise ValidationError("weight %r on %s is not finite" % (w, FocalSet(frame, b)))
-        if cleaned.get(0) == 0.0:
-            del cleaned[0]
+            if b or w != 0.0:
+                cleaned[b] = w
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "bits", MappingProxyType(cleaned))
 
