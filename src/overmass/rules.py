@@ -3,15 +3,17 @@
 Every rule returns a FusionReport: the combined mass plus the same audit
 fields for every rule at every source count (conflict, normalization
 divisor, rule, skipped products). The pairwise products of two masses are
-an explicit call, pairwise_products. Every rule but average combines in
-one way: the n-ary conjunctive combination in exact integer arithmetic,
-each field rounded once. pcr5 adds to it, for two masses, the float
-shares of each conflicting product. average is the per-set mean. combine
-is the one dispatcher: for two or more masses it picks the rule, runs
-pcr5 as a left fold, and rescales once at the end; fuse is combine of two
-masses. Rules are pure functions over immutable inputs, and iteration
-follows ascending bitmask order, so identical inputs yield bit-identical
-reports.
+an explicit call, pairwise_products. Every rule but average runs one
+pipeline: combine, the n-ary conjunctive combination in exact integer
+arithmetic; redistribute, in _fold_report, by one of four redistributions
+of its empty-set weight (none for conjunctive, Dempster's
+renormalization, total-proportional's pro rata spread, or pcr5's float
+shares of each conflicting product of two masses), each field rounded
+once; rescale, onto a target. average is the per-set mean. combine is the
+one dispatcher: for two or more masses it picks the rule, runs pcr5 as a
+left fold, and rescales once at the end; fuse is combine of two masses.
+Rules are pure functions over immutable inputs, and iteration follows
+ascending bitmask order, so identical inputs yield bit-identical reports.
 
 Guard summary: every rule but average rejects negative weights (only the
 average rule combines counter-evidence); dempster additionally requires
@@ -24,6 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import inf, prod
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import RuleGuardError, ValidationError
@@ -137,13 +140,6 @@ def _require_dempster_inputs(pool: Sequence[MassFunction]) -> None:
         )
 
 
-def _require_renormalizable(k: float) -> None:
-    if k >= 1.0 - SUM_EPSILON:
-        raise RuleGuardError(
-            "conflict k=%r leaves nothing to renormalize; dempster is undefined" % k
-        )
-
-
 def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
     """Dempster's rule: conjunctive combination renormalized by 1 - k. Computed by combine."""
     return combine((m1, m2), RuleId.DEMPSTER)
@@ -158,7 +154,8 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
     source weights that produced it: x receives m1(x)*p/(m1(x)+m2(y)) and
     y receives m2(y)*p/(m1(x)+m2(y)), in floats. The empty set ends at zero
     and the grand total is conserved. Products whose proportional
-    denominator is zero are discarded and counted.
+    denominator is zero are discarded and counted. The shares are the
+    pcr5 redistribution of _fold_report.
     """
     _check_masses((m1, m2))
     for m in (m1, m2):
@@ -167,27 +164,7 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
                 "pcr5 inputs must not carry weight on the empty set; "
                 "redistribute or renormalize first"
             )
-    numerators, den = _conjunctive_numerators((m1, m2))
-    shares: defaultdict[int, list[float]] = defaultdict(list)
-    skipped = 0
-    second = tuple(m2.weights.bits.items())
-    for x, w1 in m1.weights.bits.items():
-        for y, w2 in second:
-            if x & y:
-                continue
-            denom = w1 + w2
-            if denom == 0.0:
-                skipped += 1
-                continue
-            p = w1 * w2
-            shares[x].append(w1 * p / denom)
-            shares[y].append(w2 * p / denom)
-    weights = {b: _quotient(n, den) for b, n in numerators.items() if b}
-    for b, parts in shares.items():
-        weights[b] = checked_fsum([weights.get(b, 0.0), *parts])
-    result = MassFunction(m1.frame, Weights(m1.frame, weights), interval_union(m1.range, m2.range))
-    conflict = _quotient(numerators.get(0, 0), den)
-    return FusionReport(result, conflict, 1.0, RuleId.PCR5, skipped)
+    return _fold_report((m1, m2), RuleId.PCR5, *_conjunctive_numerators((m1, m2)))
 
 
 def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
@@ -220,14 +197,6 @@ def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
     )
 
 
-def _unabsorbable(k: float, focal_total: float) -> RuleGuardError:
-    if focal_total <= 0.0:
-        return RuleGuardError("no positive focal weight to absorb conflict %r onto" % k)
-    return RuleGuardError(
-        "conflict %r over focal total %r overflows the redistribution factor" % (k, focal_total)
-    )
-
-
 def total_proportional(report: FusionReport) -> FusionReport:
     """Redistribute the empty-set weight over all focal sets pro rata.
 
@@ -236,12 +205,10 @@ def total_proportional(report: FusionReport) -> FusionReport:
     grand total are both preserved. Distinct from pcr5, which splits each
     conflicting product between the two sets that produced it; this rule
     feeds every focal set, conflicting or not. Each weight is taken
-    exactly and rounded once, by the same spread combine applies.
+    exactly and rounded once, by the spread of _fold_report.
     """
-    result = report.result
-    weights = _spread(*_scaled(result))
-    redistributed = MassFunction(result.frame, Weights(result.frame, weights), result.range)
-    return replace(report, result=redistributed, rule=RuleId.TOTAL_PROPORTIONAL)
+    spread = _fold_report((report.result,), RuleId.TOTAL_PROPORTIONAL, *_scaled(report.result))
+    return replace(report, result=spread.result, rule=RuleId.TOTAL_PROPORTIONAL)
 
 
 def average(masses: Sequence[MassFunction]) -> FusionReport:
@@ -327,8 +294,8 @@ def _conjunctive_numerators(pool: Sequence[MassFunction]) -> tuple[dict[int, int
     """
     sources, dens = zip(*map(_scaled, pool))
     width = len(pool[0].frame)
-    combine = _dense_conjunctive if _dense_is_cheaper(sources, width) else _sparse_conjunctive
-    return combine(sources, width), prod(dens)
+    conjoin = _dense_conjunctive if _dense_is_cheaper(sources, width) else _sparse_conjunctive
+    return conjoin(sources, width), prod(dens)
 
 
 def _scaled(m: MassFunction) -> tuple[dict[int, int], int]:
@@ -345,29 +312,6 @@ def _quotient(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         raise ValidationError("fused weight beyond the float range") from None
-
-
-def _spread(numerators: dict[int, int], den: int) -> dict[int, float]:
-    """Total-proportional's weights, from exact numerators over den.
-
-    With e the numerator on the empty set and g the sum of all of them,
-    each nonempty numerator n becomes n * g / ((g - e) * den): the weight
-    n / den times the factor 1 + k/S, for the conflict k = e / den and the
-    focal total S = (g - e) / den. A conflict with no positive focal total
-    to absorb it, or whose factor overflows a float, is refused.
-    """
-    e = numerators.get(0, 0)
-    if not e:
-        return {b: _quotient(n, den) for b, n in numerators.items()}
-    g = sum(numerators.values())
-    focal = g - e
-    if focal > 0:
-        try:
-            g / focal  # the factor 1 + k/S, which must be a float
-            return {b: _quotient(n * g, focal * den) for b, n in numerators.items() if b}
-        except OverflowError:
-            pass
-    raise _unabsorbable(_quotient(e, den), _quotient(focal, den))
 
 
 def _dense_is_cheaper(sources: Sequence[dict[int, int]], width: int) -> bool:
@@ -428,24 +372,16 @@ def _commonality_product(sources: Sequence[dict[int, int]], width: int) -> list[
         q = [0] * size
         for b, n in source.items():
             q[b] = n
-        _superset_sums(q, width, _sums)
-        product = q if product is None else [a * b for a, b in zip(product, q)]
-    return _superset_sums(product, width, _differences)
+        _superset_sums(q, width, add)
+        product = q if product is None else list(map(mul, product, q))
+    return _superset_sums(product, width, sub)
 
 
-def _sums(xs: list[int], ys: list[int]) -> list[int]:
-    return [x + y for x, y in zip(xs, ys)]
+def _superset_sums(values: list[int], width: int, op) -> list[int]:
+    """Combine each entry with the entries of its supersets by op, one label at a time, in place.
 
-
-def _differences(xs: list[int], ys: list[int]) -> list[int]:
-    return [x - y for x, y in zip(xs, ys)]
-
-
-def _superset_sums(values: list[int], width: int, combine) -> list[int]:
-    """Combine each entry with the entries of its supersets, one label at a time, in place.
-
-    With _sums this is the zeta transform, q(A) = sum of m(B) over B ⊇ A;
-    with _differences it is its inverse, the Möbius transform.
+    With add this is the zeta transform, q(A) = sum of m(B) over B ⊇ A;
+    with sub it is its inverse, the Möbius transform.
     """
     size = len(values)
     for label in range(width):
@@ -455,11 +391,11 @@ def _superset_sums(values: list[int], width: int, combine) -> list[int]:
         # whichever takes fewer slices: strided runs or contiguous blocks.
         if step * span <= size:
             for low in range(step):
-                values[low::span] = combine(values[low::span], values[low + step::span])
+                values[low::span] = map(op, values[low::span], values[low + step::span])
         else:
             for base in range(0, size, span):
                 mid = base + step
-                values[base:mid] = combine(values[base:mid], values[mid:base + span])
+                values[base:mid] = map(op, values[base:mid], values[mid:base + span])
     return values
 
 
@@ -471,23 +407,66 @@ def _fold_report(
 ) -> FusionReport:
     """The report of the rule over pool, from the numerators of its exact n-ary conjunctive over den.
 
-    With e the numerator on the empty set, the conflict is e/den for every
-    rule. dempster divides each nonempty numerator by den - e and reports
-    the divisor (den - e)/den, that is 1 - conflict; total-proportional
-    spreads the conflict through _spread.
+    This is the one redistribute stage. With e the numerator on the empty
+    set, the conflict is e/den for every rule, and each nonempty numerator
+    n becomes one correctly rounded quotient:
+    - conjunctive redistributes nothing: n/den, and the conflict stays on
+      the empty set;
+    - dempster renormalizes: n/(den - e), with the divisor (den - e)/den,
+      that is 1 - conflict;
+    - total-proportional spreads the conflict pro rata: with g the sum of
+      all numerators, n*g/((g - e)*den), the weight n/den times the factor
+      1 + k/S for the focal total S = (g - e)/den; a conflict with no
+      positive focal total to absorb it, or whose factor overflows a
+      float, is refused;
+    - pcr5, for the two masses of pool, keeps n/den and adds the float
+      shares of each conflicting product m1(x)*m2(y) (see pcr5), summed
+      with it by one fsum, in ascending bitmask order; products whose
+      proportional denominator is zero are skipped and counted.
     """
     frame = pool[0].frame
     e = numerators.get(0, 0)
     k = _quotient(e, den)
+    scale, base, skipped = 1, den, 0
     if rule is RuleId.DEMPSTER:
-        _require_renormalizable(k)
-        weights = {b: _quotient(n, den - e) for b, n in numerators.items() if b}
+        if k >= 1.0 - SUM_EPSILON:
+            raise RuleGuardError("conflict k=%r leaves nothing to renormalize; dempster is undefined" % k)
+        base = den - e
+    elif rule is RuleId.TOTAL_PROPORTIONAL and e:
+        scale = sum(numerators.values())
+        focal = scale - e
+        try:
+            scale / max(focal, 0)  # the factor 1 + k/S, which must be a positive float
+        except (ZeroDivisionError, OverflowError):
+            focal_total = _quotient(focal, den)
+            if focal_total <= 0.0:
+                raise RuleGuardError("no positive focal weight to absorb conflict %r onto" % k) from None
+            raise RuleGuardError(
+                "conflict %r over focal total %r overflows the redistribution factor" % (k, focal_total)
+            ) from None
+        base = focal * den
+    weights = {b: _quotient(n * scale, base) for b, n in numerators.items() if b}
+    if rule is RuleId.CONJUNCTIVE:
+        weights[0] = k
+    elif rule is RuleId.DEMPSTER:
         result = MassFunction(frame, Weights(frame, weights), CLASSICAL_RANGE)
         return FusionReport(result, k, _quotient(den - e, den), rule)
-    if rule is RuleId.TOTAL_PROPORTIONAL:
-        weights = _spread(numerators, den)
-    else:
-        weights = {b: _quotient(n, den) for b, n in numerators.items()}
+    elif rule is RuleId.PCR5:
+        m1, m2 = pool
+        shares: defaultdict[int, list[float]] = defaultdict(list)
+        second = tuple(m2.weights.bits.items())
+        for x, w1 in m1.weights.bits.items():
+            for y, w2 in second:
+                if x & y:
+                    continue
+                denom = w1 + w2
+                if denom == 0.0:
+                    skipped += 1
+                    continue
+                p = w1 * w2
+                shares[x].append(w1 * p / denom)
+                shares[y].append(w2 * p / denom)
+        for b, parts in shares.items():
+            weights[b] = checked_fsum([weights.get(b, 0.0), *parts])
     result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
-    return FusionReport(result, k, 1.0, rule)
-
+    return FusionReport(result, k, 1.0, rule, skipped)
