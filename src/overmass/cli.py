@@ -85,23 +85,21 @@ def _parse_pipeline(raw: Any) -> PipelineSpec:
         return PipelineSpec()
     if not isinstance(raw, dict):
         raise ParseError('"pipeline" must be an object')
-    spec = PipelineSpec()
-    if "rule" in raw:
-        try:
-            spec = replace(spec, rule=RuleId(raw["rule"]))
-        except ValueError:
-            raise ParseError(
-                "unknown rule %r; choose from %s"
-                % (raw["rule"], ", ".join(r.value for r in RuleId))
-            ) from None
-    if raw.get("target") is not None:
-        spec = replace(spec, target=_parse_range(raw["target"], "pipeline target"))
+    try:
+        rule = RuleId(raw.get("rule", PipelineSpec.rule))
+    except ValueError:
+        raise ParseError(
+            "unknown rule %r; choose from %s" % (raw["rule"], ", ".join(r.value for r in RuleId))
+        ) from None
+    target = raw.get("target")
+    if target is not None:
+        target = _parse_range(target, "pipeline target")
     for flag in ("strict", "normalize"):
-        if flag in raw:
-            if not isinstance(raw[flag], bool):
-                raise ParseError('pipeline "%s" must be true or false' % flag)
-            spec = replace(spec, **{flag: raw[flag]})
-    return spec
+        if not isinstance(raw.get(flag, False), bool):
+            raise ParseError('pipeline "%s" must be true or false' % flag)
+    return PipelineSpec(
+        rule, target, raw.get("strict", PipelineSpec.strict), raw.get("normalize", PipelineSpec.normalize)
+    )
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -158,7 +156,7 @@ def load_document(data: bytes | str) -> ScenarioDocument:
         if not isinstance(masses, dict):
             raise ParseError('%s: "masses" must map focal expressions to numbers' % where)
         for expr, weight in masses.items():
-            if not isinstance(weight, (int, float)) or isinstance(weight, bool):
+            if type(weight) is not float:  # parse_int=float: every JSON number is a float
                 raise ParseError("%s: weight for %r must be a number" % (where, expr))
         try:
             mass = make_mass(frame, masses, mass_range, strict=pipeline.strict)

@@ -93,7 +93,8 @@ class FusionReport:
     skipped_fractions counts conflicting products discarded because both
     source weights were zero, which makes the proportional split's
     denominator zero; such products are themselves zero, so conservation
-    is unaffected.
+    is unaffected. A pcr5 fold of three or more masses counts those of
+    every fold step.
     """
 
     result: MassFunction
@@ -275,7 +276,8 @@ def combine(
     if rule is RuleId.PCR5:
         report = pcr5(pool[0], pool[1])
         for m in pool[2:]:
-            report = pcr5(report.result, m)
+            step = pcr5(report.result, m)
+            report = replace(step, skipped_fractions=report.skipped_fractions + step.skipped_fractions)
     else:
         if rule is RuleId.DEMPSTER:
             _require_dempster_inputs(pool)

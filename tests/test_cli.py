@@ -74,6 +74,10 @@ PARSE_FAILURES = [
     ("{not json", [], "invalid JSON"),
     (doc_text(sources=[{"range": [0], "masses": {"A": 1.0}}, MIXED_SOURCES[1]]), [], '"range" must be'),
     (doc_text(pipeline=["pcr5"]), [], '"pipeline" must be an object'),
+    # A rule that is not a string, unhashable ones included, is an unknown rule.
+    (doc_text(pipeline={"rule": ["pcr5"]}), [], "unknown rule"),
+    (doc_text(pipeline={"rule": {"a": 1}}), [], "unknown rule"),
+    (doc_text(pipeline={"rule": None}), [], "unknown rule"),
     (doc_text(pipeline={"strict": "yes"}), [], '"strict" must be true or false'),
     (doc_text(pipeline={"normalize": 1}), [], '"normalize" must be true or false'),
     (json.dumps({"frame": ["A", "B"], "sources": {"m1": {}}}), [], '"sources" must be a list'),

@@ -1,6 +1,7 @@
 """combine under conjunctive, Dempster and total-proportional: two or more sources, exact and rounded once."""
 
 import json
+from dataclasses import replace
 from itertools import permutations
 from math import prod
 
@@ -212,6 +213,18 @@ class TestGuards:
                 combine([a], rule)
         with pytest.raises(ValidationError, match="unknown rule 'pcr5'"):
             combine([a, b], "pcr5")
+
+    def test_pcr5_fold_counts_the_skipped_products_of_every_step(self):
+        # The first step skips A against C (both weights zero); the second skips none.
+        abc = make_frame(["A", "B", "C"])
+        weights = ({"A": 0.0, "B": 1.0}, {"C": 0.0, "A|B|C": 1.0}, {"A|B|C": 1.0})
+        m1, m2, m3 = (make_mass(abc, w, CLASSICAL_RANGE) for w in weights)
+        assert pcr5(m1, m2).skipped_fractions == 1
+        assert pcr5(pcr5(m1, m2).result, m3).skipped_fractions == 0
+        for order in ([m1, m2, m3], [m3, m2, m1], [m1, m2]):
+            assert combine(order, RuleId.PCR5).skipped_fractions == 1
+        report = combine([m1, m2, m3], RuleId.PCR5)
+        assert report == replace(over_normalize(pcr5(pcr5(m1, m2).result, m3), CLASSICAL_RANGE), skipped_fractions=1)
 
 
 def overflow_document(*weights, rule):
