@@ -411,20 +411,15 @@ def _fold_report(
 
     This is the one redistribute stage. With e the numerator on the empty
     set, the conflict is e/den for every rule, and each nonempty numerator
-    n becomes one correctly rounded quotient:
-    - conjunctive redistributes nothing: n/den, and the conflict stays on
-      the empty set;
-    - dempster renormalizes: n/(den - e), with the divisor (den - e)/den,
-      that is 1 - conflict;
-    - total-proportional spreads the conflict pro rata: with g the sum of
-      all numerators, n*g/((g - e)*den), the weight n/den times the factor
-      1 + k/S for the focal total S = (g - e)/den; a conflict with no
-      positive focal total to absorb it, or whose factor overflows a
-      float, is refused;
-    - pcr5, for the two masses of pool, keeps n/den and adds the float
-      shares of each conflicting product m1(x)*m2(y) (see pcr5), summed
-      with it by one fsum, in ascending bitmask order; products whose
-      proportional denominator is zero are skipped and counted.
+    n is rounded once: conjunctive keeps n/den, and the conflict on the
+    empty set; dempster renormalizes to n/(den - e), with the divisor
+    (den - e)/den, that is 1 - conflict; total-proportional spreads the
+    conflict pro rata to n*g/((g - e)*den), for g the sum of all
+    numerators (the weight times the factor 1 + k/S), and refuses a
+    conflict with no positive focal total S or whose factor overflows a
+    float; pcr5 keeps n/den and adds to it, for the two masses of pool,
+    the float shares of each conflicting product (see pcr5) by one fsum,
+    counting the products it skips.
     """
     frame = pool[0].frame
     e = numerators.get(0, 0)
@@ -438,7 +433,7 @@ def _fold_report(
         scale = sum(numerators.values())
         focal = scale - e
         try:
-            scale / max(focal, 0)  # the factor 1 + k/S, which must be a positive float
+            scale / max(focal, 0)  # the factor 1 + k/S = g/(g - e), which must be a positive float
         except (ZeroDivisionError, OverflowError):
             focal_total = _quotient(focal, den)
             if focal_total <= 0.0:
