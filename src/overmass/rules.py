@@ -14,10 +14,6 @@ one dispatcher: for two or more masses it picks the rule, runs pcr5 as a
 left fold, and rescales once at the end; fuse is combine of two masses.
 Rules are pure functions over immutable inputs, and iteration follows
 ascending bitmask order, so identical inputs yield bit-identical reports.
-
-Guard summary: every rule but average rejects negative weights (only the
-average rule combines counter-evidence); dempster additionally requires
-classical inputs and defined (non-total) conflict.
 """
 
 from __future__ import annotations
@@ -104,13 +100,39 @@ class FusionReport:
     skipped_fractions: int = 0
 
 
-def _check_masses(pool: Sequence[MassFunction]) -> None:
+def _check_pool(pool: Sequence[MassFunction], rule: RuleId) -> None:
+    """Refuse a pool that rule cannot combine, before any arithmetic, by an error that does not depend on its order.
+
+    In this order: dempster requires classical masses summing to 1; the
+    masses must share one frame; every rule but average refuses negative
+    weights (only the average rule combines counter-evidence); pcr5
+    refuses weight on the empty set. Refusals of computed values, such as
+    Dempster's total conflict, are raised where each is computed.
+    """
+    if rule is RuleId.DEMPSTER:
+        classes = [(classify_range(m), classify_sum(m)) for m in pool]
+        refused = [c for c in classes if c != (RangeClass.CLASSICAL, SumClass.BALANCED)]
+        if refused:
+            kinds = ", ".join(
+                "%s by range and %s by sum" % (r.value, s.value)
+                for r in RangeClass for s in SumClass if (r, s) in refused
+            )
+            raise RuleGuardError(
+                "dempster requires classical masses summing to 1, but refuses %d of %d inputs: %s; "
+                "permitted here: pcr5, total-proportional, conjunctive (average for negative weights)"
+                % (len(refused), len(pool), kinds)
+            )
     frame = pool[0].frame
     if any(m.frame != frame for m in pool):
         raise ValidationError("cannot combine masses over different frames")
-    if any(m.has_negative for m in pool):
+    if rule is not RuleId.AVERAGE and any(m.has_negative for m in pool):
         raise RuleGuardError(
             "negative weights present; only the average rule combines counter-evidence"
+        )
+    if rule is RuleId.PCR5 and any(m.conflict_weight != 0.0 for m in pool):
+        raise RuleGuardError(
+            "pcr5 inputs must not carry weight on the empty set; "
+            "redistribute or renormalize first"
         )
 
 
@@ -123,22 +145,6 @@ def conjunctive(m1: MassFunction, m2: MassFunction) -> FusionReport:
     equals the product of the input totals. Computed by combine.
     """
     return combine((m1, m2), RuleId.CONJUNCTIVE)
-
-
-def _require_dempster_inputs(pool: Sequence[MassFunction]) -> None:
-    """Refuse unless every mass is classical and balanced, in a message that does not depend on their order."""
-    classes = [(classify_range(m), classify_sum(m)) for m in pool]
-    refused = [c for c in classes if c != (RangeClass.CLASSICAL, SumClass.BALANCED)]
-    if refused:
-        kinds = ", ".join(
-            "%s by range and %s by sum" % (r.value, s.value)
-            for r in RangeClass for s in SumClass if (r, s) in refused
-        )
-        raise RuleGuardError(
-            "dempster requires classical masses summing to 1, but refuses %d of %d inputs: %s; "
-            "permitted here: pcr5, total-proportional, conjunctive (average for negative weights)"
-            % (len(refused), len(pool), kinds)
-        )
 
 
 def dempster(m1: MassFunction, m2: MassFunction) -> FusionReport:
@@ -158,13 +164,7 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
     denominator is zero are discarded and counted. The shares are the
     pcr5 redistribution of _fold_report.
     """
-    _check_masses((m1, m2))
-    for m in (m1, m2):
-        if m.conflict_weight != 0.0:
-            raise RuleGuardError(
-                "pcr5 inputs must not carry weight on the empty set; "
-                "redistribute or renormalize first"
-            )
+    _check_pool((m1, m2), RuleId.PCR5)
     return _fold_report((m1, m2), RuleId.PCR5, *_conjunctive_numerators((m1, m2)))
 
 
@@ -208,6 +208,7 @@ def total_proportional(report: FusionReport) -> FusionReport:
     feeds every focal set, conflicting or not. Each weight is taken
     exactly and rounded once, by the spread of _fold_report.
     """
+    _check_pool((report.result,), RuleId.TOTAL_PROPORTIONAL)
     spread = _fold_report((report.result,), RuleId.TOTAL_PROPORTIONAL, *_scaled(report.result))
     return replace(report, result=spread.result, rule=RuleId.TOTAL_PROPORTIONAL)
 
@@ -221,10 +222,8 @@ def average(masses: Sequence[MassFunction]) -> FusionReport:
     pool = tuple(masses)
     if len(pool) < 2:
         raise ValidationError("average needs at least two masses, got %d" % len(pool))
+    _check_pool(pool, RuleId.AVERAGE)
     frame = pool[0].frame
-    for m in pool[1:]:
-        if m.frame != frame:
-            raise ValidationError("cannot combine masses over different frames")
     keys = {b for m in pool for b in m.weights.bits} - {0}
     weights = {b: checked_fsum(m.weights.bits.get(b, 0.0) for m in pool) / len(pool) for b in keys}
     result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
@@ -252,25 +251,27 @@ def combine(
 ) -> FusionReport:
     """Two or more masses through one pipeline: combine, redistribute the conflict, rescale.
 
-    average is the per-set mean of the whole pool. pcr5 is not
-    associative, so it runs as a left fold of pairwise pcr5 calls, each
-    intermediate result left unnormalized, and over three or more masses
-    it depends on their order. conjunctive, dempster and total-proportional
-    take the n-ary conjunctive combination exactly, each field rounded
-    once: its empty-set weight is the conflict; dempster renormalizes the
-    rest by 1 - conflict, which is its divisor, and total-proportional
-    spreads the conflict over the focal sets pro rata. So every field of
-    their report, and whether the rule refuses, is the same in any order
-    of the masses, and a vacuous mass changes none of them. Negative
-    weights and Dempster's input conditions are checked on every mass
-    first. Last, with normalize, pcr5 and total-proportional rescale once
-    onto target, which defaults to the union of the input ranges.
+    First _check_pool refuses a pool the rule cannot combine, with the
+    same error in any order of the masses. average is the per-set mean of
+    the whole pool. pcr5 is not associative, so it runs as a left fold of
+    pairwise pcr5 calls, each intermediate result left unnormalized, and
+    over three or more masses it depends on their order. conjunctive,
+    dempster and total-proportional take the n-ary conjunctive combination
+    exactly, each field rounded once: its empty-set weight is the
+    conflict; dempster renormalizes the rest by 1 - conflict, which is its
+    divisor, and total-proportional spreads the conflict over the focal
+    sets pro rata. So every field of their report, and whether the rule
+    refuses, is the same in any order of the masses, and a vacuous mass
+    changes none of them. Last, with normalize, pcr5 and
+    total-proportional rescale once onto target, which defaults to the
+    union of the input ranges, the range of their report.
     """
     pool = tuple(masses)
     if len(pool) < 2:
         raise ValidationError("a fold needs at least two masses, got %d" % len(pool))
     if not isinstance(rule, RuleId):
         raise ValidationError("unknown rule %r; choose a RuleId" % (rule,))
+    _check_pool(pool, rule)
     if rule is RuleId.AVERAGE:
         return average(pool)
     if rule is RuleId.PCR5:
@@ -279,13 +280,10 @@ def combine(
             step = pcr5(report.result, m)
             report = replace(step, skipped_fractions=report.skipped_fractions + step.skipped_fractions)
     else:
-        if rule is RuleId.DEMPSTER:
-            _require_dempster_inputs(pool)
-        _check_masses(pool)
         report = _fold_report(pool, rule, *_conjunctive_numerators(pool))
     if not normalize or rule not in (RuleId.PCR5, RuleId.TOTAL_PROPORTIONAL):
         return report
-    return over_normalize(report, target or interval_union(*(m.range for m in pool)))
+    return over_normalize(report, target or report.result.range)
 
 
 def _conjunctive_numerators(pool: Sequence[MassFunction]) -> tuple[dict[int, int], int]:

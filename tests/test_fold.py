@@ -179,6 +179,43 @@ class TestGuards:
             with pytest.raises(RuleGuardError, match="negative weights"):
                 self.fold(rule, {"A": 0.5}, {"A": 0.5}, {"A": -0.1, "B": 0.5}, mass_range=MassRange(-0.2, 1))
 
+    def test_pool_refusal_does_not_depend_on_order(self):
+        # Faults in two or more masses: a negative weight, weight on the empty set,
+        # another frame, a range over [0, 1] (refused by dempster alone).
+        negative = make_mass(self.ab, {"A": -0.1, "B": 0.6}, MassRange(-0.2, 1))
+        empty = MassFunction(self.ab, Weights(self.ab, {0: 0.2, 0b01: 0.8}), CLASSICAL_RANGE)
+        other = make_mass(make_frame(["A", "B", "C"]), {"A": 1.0}, CLASSICAL_RANGE)
+        over = make_mass(self.ab, {"A|B": 1.0}, MassRange(0, 1.5))
+        fine = make_mass(self.ab, {"A": 0.5, "B": 0.5}, CLASSICAL_RANGE)
+        for pool in ((negative, empty, other), (negative, empty, fine), (over, negative, other), (empty, over, negative)):
+            for rule in RuleId:
+                outcomes = []
+                for order in permutations(pool):
+                    try:
+                        outcomes.append(combine(order, rule))
+                    except (RuleGuardError, ValidationError) as refusal:
+                        outcomes.append((type(refusal), str(refusal)))
+                assert outcomes == outcomes[:1] * 6, rule
+                assert rule is RuleId.AVERAGE or isinstance(outcomes[0], tuple), rule
+
+    def test_pcr5_fold_refuses_before_its_first_step(self, monkeypatch):
+        calls = []
+        step = rules.pcr5
+
+        def counted(m1, m2):
+            calls.append((m1, m2))
+            return step(m1, m2)
+
+        monkeypatch.setattr(rules, "pcr5", counted)
+        masses = [make_mass(self.ab, {"A": 0.6, "B": 0.4}, CLASSICAL_RANGE),
+                  make_mass(self.ab, {"A|B": 1.0}, CLASSICAL_RANGE),
+                  make_mass(self.ab, {"A": -0.1, "B": 0.6}, MassRange(-0.2, 1))]
+        with pytest.raises(RuleGuardError, match="^negative weights present"):
+            combine(masses, RuleId.PCR5)
+        assert calls == []
+        combine(masses[:2] * 2, RuleId.PCR5)
+        assert len(calls) == 3
+
     def test_total_proportional_needs_focal_weight(self):
         with pytest.raises(RuleGuardError, match="no positive focal weight to absorb conflict 1.0"):
             self.fold(RuleId.TOTAL_PROPORTIONAL, {"A": 1.0}, {"B": 1.0}, {"A|B": 1.0})

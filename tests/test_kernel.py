@@ -63,12 +63,12 @@ def exact_reference(rule, m1, m2):
         for m in (m1, m2):
             if classify_range(m) is not RangeClass.CLASSICAL or classify_sum(m) is not SumClass.BALANCED:
                 raise RuleGuardError("dempster requires classical masses summing to 1")
-    rules._check_masses((m1, m2))
+    rules._check_pool((m1, m2), rule)
     return fraction_fold((m1, m2), rule)
 
 
 def oracle_pcr5(m1, m2):
-    rules._check_masses((m1, m2))
+    rules._check_pool((m1, m2), RuleId.PCR5)
     exact = fraction_fold((m1, m2), RuleId.CONJUNCTIVE)
     weights, conflict = exact.result.weights, exact.conflict
     trace = oracle_trace(m1, m2)

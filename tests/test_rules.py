@@ -329,6 +329,15 @@ class TestTotalProportional:
         with pytest.raises(RuleGuardError, match=r"conflict 1\.0 over focal total 2\.225073858507e-311"):
             total_proportional(conjunctive(m1, m2))
 
+    def test_negative_weights_refused(self, ab):
+        result = MassFunction(
+            ab,
+            {ab.empty_set(): 0.3, ab.singleton("A"): -0.2, ab.singleton("B"): 0.7},
+            MassRange(-0.2, 1.0),
+        )
+        with pytest.raises(RuleGuardError, match="^negative weights present; only the average rule"):
+            total_proportional(FusionReport(result, 0.3, 1.0, RuleId.CONJUNCTIVE))
+
 
 class TestAverage:
     def test_published_pair(self, ab):
