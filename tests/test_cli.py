@@ -373,17 +373,27 @@ class TestMainExitCodes:
         assert out.splitlines()[0] == "A,B,A|B,∅,sum"
 
     def test_fuse_output_does_not_depend_on_source_order(self, tmp_path, capsys):
-        cases = [(("A", "B"), CLASSICAL_SOURCES, {"rule": rule})
-                 for rule in ("conjunctive", "dempster", "total-proportional")]
+        exact = ("conjunctive", "dempster", "total-proportional")
         wildfire = json.loads(WILDFIRE.read_text(encoding="utf-8"))
-        cases.append((wildfire["frame"], wildfire["sources"], wildfire["pipeline"]))
-        for frame, sources, pipeline in cases:
+        pair = json.loads(DEMPSTER_PAIR.read_text(encoding="utf-8"))
+        over = {"name": "over", "range": [0, 1.2], "masses": {"north": 0.7, "east|south": 0.5}}
+        # (frame, sources, pipeline, flags, exit code); dempster refuses every
+        # wildfire source, and one source of the pair plus "over".
+        cases = [(("A", "B"), CLASSICAL_SOURCES, {"rule": rule}, [], 0) for rule in exact]
+        cases.append((wildfire["frame"], wildfire["sources"], wildfire["pipeline"], [], 0))
+        cases += [(wildfire["frame"], wildfire["sources"], wildfire["pipeline"], ["--rule", rule],
+                   3 if rule == "dempster" else 0) for rule in exact]
+        cases.append((pair["frame"], [*pair["sources"], over], pair["pipeline"], [], 3))
+        cases += [(pair["frame"], pair["sources"], pair["pipeline"], ["--rule", rule, *flags], 0)
+                  for rule in ("pcr5", "average") for flags in ([], ["--no-normalize"], ["--target=-0.1,1.3"])]
+        for frame, sources, pipeline, flags, code in cases:
             outputs = set()
             for order in permutations(sources):
                 path = self.write(tmp_path, doc_text(frame, list(order), pipeline))
-                assert main(["fuse", "--input", path, "--precision", "17"]) == 0
-                outputs.add(capsys.readouterr().out)
-            assert len(outputs) == 1, pipeline
+                status = main(["fuse", "--input", path, "--precision", "17", *flags])
+                outputs.add((status, *capsys.readouterr()))
+            assert len(outputs) == 1, (pipeline, flags)
+            assert next(iter(outputs))[0] == code, (pipeline, flags)
 
     def test_fuse_output_does_not_change_with_a_vacuous_source(self, tmp_path, capsys):
         doc = json.loads(DEMPSTER_PAIR.read_text(encoding="utf-8"))
