@@ -68,14 +68,10 @@ class ScenarioDocument:
 
 
 def _parse_range(value: Any, where: str) -> MassRange:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    if type(value) is not list or len(value) != 2 or not all(type(v) is float for v in value):
         raise ParseError('%s: "range" must be a [lo, hi] pair of numbers' % where)
     try:
-        return MassRange(float(value[0]), float(value[1]))
+        return MassRange(*value)
     except ValidationError as exc:
         raise ValidationError("%s: %s" % (where, exc)) from exc
 
@@ -151,7 +147,7 @@ def load_document(data: bytes | str) -> ScenarioDocument:
         if not isinstance(name, str) or not name:
             raise ParseError("source #%d name must be a nonempty string" % (i + 1))
         where = "source %r" % name
-        mass_range = _parse_range(record.get("range", [0, 1]), where)
+        mass_range = _parse_range(record.get("range", [0.0, 1.0]), where)
         masses = record.get("masses")
         if not isinstance(masses, dict):
             raise ParseError('%s: "masses" must map focal expressions to numbers' % where)

@@ -413,11 +413,11 @@ def _fold_report(
     empty set; dempster renormalizes to n/(den - e), with the divisor
     (den - e)/den, that is 1 - conflict; total-proportional spreads the
     conflict pro rata to n*g/((g - e)*den), for g the sum of all
-    numerators (the weight times the factor 1 + k/S), and refuses a
-    conflict with no positive focal total S or whose factor overflows a
-    float; pcr5 keeps n/den and adds to it, for the two masses of pool,
-    the float shares of each conflicting product (see pcr5) by one fsum,
-    counting the products it skips.
+    numerators (the weight times the factor 1 + k/S); as n <= g - e, no
+    weight exceeds the grand total g/den, and the one refusal is a
+    conflict with no focal weight (g = e); pcr5 keeps n/den and adds to
+    it, for the two masses of pool, the float shares of each conflicting
+    product (see pcr5) by one fsum, counting the products it skips.
     """
     frame = pool[0].frame
     e = numerators.get(0, 0)
@@ -430,15 +430,8 @@ def _fold_report(
     elif rule is RuleId.TOTAL_PROPORTIONAL and e:
         scale = sum(numerators.values())
         focal = scale - e
-        try:
-            scale / max(focal, 0)  # the factor 1 + k/S = g/(g - e), which must be a positive float
-        except (ZeroDivisionError, OverflowError):
-            focal_total = _quotient(focal, den)
-            if focal_total <= 0.0:
-                raise RuleGuardError("no positive focal weight to absorb conflict %r onto" % k) from None
-            raise RuleGuardError(
-                "conflict %r over focal total %r overflows the redistribution factor" % (k, focal_total)
-            ) from None
+        if not focal:
+            raise RuleGuardError("no positive focal weight to absorb conflict %r onto" % k)
         base = focal * den
     weights = {b: _quotient(n * scale, base) for b, n in numerators.items() if b}
     if rule is RuleId.CONJUNCTIVE:

@@ -1,10 +1,10 @@
-"""The n-ary combination in exact rational arithmetic, rounded once: the reference for exact_fold.
+"""The n-ary combination in exact rational arithmetic, rounded once.
 
 The n-ary conjunctive combination is taken on ``fractions.Fraction``
 instead of floats. Its empty-set weight is the conflict; the rule then
 applies its one renormalisation (none, Dempster's division by 1 - k, or
-total-proportional's factor 1 + k/S, which must be a float) with the
-guards that can fire on nonnegative inputs. Only the returned report is rounded, field by field.
+total-proportional's factor 1 + k/S) with the guards that can fire on
+nonnegative inputs. Only the returned report is rounded, field by field.
 """
 
 from fractions import Fraction
@@ -33,10 +33,6 @@ def fraction_fold(masses, rule):
         focal = sum(w for b, w in acc.items() if b)
         if focal == 0:
             raise RuleGuardError("no focal weight to absorb the conflict")
-        try:
-            float(1 + k / focal)
-        except OverflowError:
-            raise RuleGuardError("the redistribution factor overflows a float") from None
         acc = {b: w * (1 + k / focal) for b, w in acc.items() if b}
     frame = masses[0].frame
     if rule is RuleId.DEMPSTER:

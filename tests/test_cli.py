@@ -107,8 +107,8 @@ NOT_UTF8 = doc_text().encode("utf-8").replace(b'"A"', b'"A\xff"', 1)
 
 NO_SOURCES = json.dumps({"frame": ["A", "B"], "sources": []})
 
-#: The total-proportional factor 1 + k/S overflows on this subnormal focal total.
-OVERFLOW_SOURCES = [
+#: Conflict 1.0 over a subnormal focal total, which total-proportional spreads onto B exactly.
+SUBNORMAL_FOCAL_SOURCES = [
     {"range": [0, 1.5], "masses": {"B": 2.225073858507e-311, "A|C": 1.0}},
     {"range": [0, 1.5], "masses": {"B": 1.0}},
 ]
@@ -410,13 +410,22 @@ class TestMainExitCodes:
         for rule in ("conjunctive", "dempster", "pcr5", "total-proportional"):
             assert main(["fuse", "--input", path, "--rule", rule]) == 3
         assert main(["fuse", "--input", path, "--rule", "average"]) == 0
-        capsys.readouterr()
-        path = self.write(tmp_path, doc_text(frame="ABC", sources=OVERFLOW_SOURCES,
+
+    def test_fuse_spreads_conflict_onto_a_subnormal_focal_total(self, tmp_path, capsys):
+        path = self.write(tmp_path, doc_text(frame="ABC", sources=SUBNORMAL_FOCAL_SOURCES,
                                              pipeline={"rule": "total-proportional"}))
-        assert main(["fuse", "--input", path]) == 3
+        assert main(["fuse", "--input", path, "--no-normalize", "--precision", "17"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "conflict 1.0 over focal total 2.225073858507e-311" in captured.err
+        assert [line.split() for line in captured.out.splitlines()[:2]] == [
+            ["B", "∅", "sum"], ["1.00000000000000000", "0.00000000000000000", "1.00000000000000000"]]
+        assert "conflict: 1.00000000000000000\n" in captured.out
+        assert captured.err == ""
+        # Rescaled onto the sources' range [0, 1.5].
+        assert main(["fuse", "--input", path, "--precision", "17"]) == 0
+        captured = capsys.readouterr()
+        assert [line.split() for line in captured.out.splitlines()[:2]] == [
+            ["B", "∅", "sum"], ["1.50000000000000000", "0.00000000000000000", "1.50000000000000000"]]
+        assert "divisor: 0.66666666666666663\n" in captured.out
 
     def test_fuse_validation_exit(self, tmp_path, capsys):
         bad = doc_text(

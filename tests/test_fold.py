@@ -23,14 +23,17 @@ FOLDED = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
 
 @st.composite
 def source_lists(draw, rule, max_labels=6):
-    """2 to 5 masses on one frame; zero weights except under Dempster, whose masses sum to 1 within SUM_EPSILON."""
+    """2 to 5 masses on one frame, some weights tiny down to the least subnormal.
+
+    Zero weights except under Dempster, whose masses sum to 1 within SUM_EPSILON.
+    """
     n = draw(st.integers(min_value=2, max_value=max_labels))
     frame = make_frame(LABELS[:n])
     full = (1 << n) - 1
     masses = []
     for _ in range(draw(st.integers(min_value=2, max_value=5))):
         sets = draw(st.lists(st.integers(min_value=1, max_value=full), min_size=1, max_size=8, unique=True))
-        weight = st.floats(min_value=0.001, max_value=1.0)
+        weight = st.one_of(st.floats(min_value=0.001, max_value=1.0), st.sampled_from([5e-324, 2.2e-311, 1e-200]))
         if rule is not RuleId.DEMPSTER:
             weight = st.one_of(st.just(0.0), weight)
         weights = [draw(weight) for _ in sets]
@@ -229,15 +232,18 @@ class TestGuards:
             with pytest.raises(RuleGuardError, match="grand total 0.0 gives normalization divisor 0.0"):
                 combine(order, RuleId.TOTAL_PROPORTIONAL)
 
-    def test_total_proportional_factor_overflow_refused(self):
+    def test_total_proportional_spreads_onto_a_subnormal_focal_total(self):
+        # The focal total is 2.2e-311 against a conflict of 1.0; every order gives the exact spread.
         abc = make_frame(["A", "B", "C"])
         masses = [
             make_mass(abc, {"B": 2.225073858507e-311, "A|C": 1.0}, MassRange(0, 1.5)),
             make_mass(abc, {"B": 1.0}, MassRange(0, 1.5)),
             make_mass(abc, {"A|B|C": 1.0}, MassRange(0, 1.5)),
         ]
-        with pytest.raises(RuleGuardError, match=r"conflict 1\.0 over focal total 2\.225073858507e-311"):
-            combine(masses, RuleId.TOTAL_PROPORTIONAL)
+        want = fraction_fold(masses, RuleId.TOTAL_PROPORTIONAL)
+        assert dict(want.result.weights.bits) == {0b010: 1.0}
+        for order in permutations(masses):
+            assert combine(order, RuleId.TOTAL_PROPORTIONAL, normalize=False) == want
 
     def test_pcr5_folds_left_average_takes_the_pool_and_single_masses_rejected(self):
         weights = ({"A": 0.7, "B": 0.5}, {"B": 0.6, "A|B": 0.4}, {"A": 0.9})

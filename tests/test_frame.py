@@ -87,7 +87,12 @@ class TestParseFocal:
         assert set(fs) == {"A", "B"}
 
     def test_singleton(self, ab):
-        assert parse_focal("B", ab) == ab.singleton("B")
+        fs = parse_focal("B", ab)
+        assert fs == ab.singleton("B")
+        assert "B" in fs
+        assert "A" not in fs
+        with pytest.raises(ParseError, match=r"^unknown label 'C' \(frame is \['A', 'B'\]\)$"):
+            "C" in fs
 
     def test_unknown_label(self, ab):
         with pytest.raises(ParseError) as err:

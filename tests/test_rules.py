@@ -2,6 +2,7 @@
 
 import pytest
 
+from fold_reference import fraction_fold
 from overmass.errors import RuleGuardError, ValidationError
 from overmass.frame import make_frame
 from overmass.mass import (
@@ -321,13 +322,14 @@ class TestTotalProportional:
         with pytest.raises(RuleGuardError):
             total_proportional(report)
 
-    def test_factor_overflow_is_a_guard(self):
-        # A subnormal focal total makes 1 + k/S overflow; the guard names k and S.
+    def test_subnormal_focal_total_takes_the_whole_conflict(self):
+        # The factor 1 + k/S is past the float range here, but no code forms it: B gets 2.2e-311 + 1.0.
         abc = make_frame(["A", "B", "C"])
         m1 = make_mass(abc, {"B": 2.225073858507e-311, "A|C": 1.0}, MassRange(0, 1.5))
         m2 = make_mass(abc, {"B": 1.0}, MassRange(0, 1.5))
-        with pytest.raises(RuleGuardError, match=r"conflict 1\.0 over focal total 2\.225073858507e-311"):
-            total_proportional(conjunctive(m1, m2))
+        report = total_proportional(conjunctive(m1, m2))
+        assert report == fraction_fold((m1, m2), RuleId.TOTAL_PROPORTIONAL)
+        assert dict(report.result.weights.bits) == {0b010: 1.0}
 
     def test_negative_weights_refused(self, ab):
         result = MassFunction(
