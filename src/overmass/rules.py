@@ -9,9 +9,10 @@ arithmetic; redistribute, in _fold_report, by one of four redistributions
 of its empty-set weight (none for conjunctive, Dempster's
 renormalization, total-proportional's pro rata spread, or pcr5's float
 shares of each conflicting product of two masses), each field rounded
-once; rescale, onto a target. average is the per-set mean. combine is the
-one dispatcher: for two or more masses it picks the rule, runs pcr5 as a
-left fold, and rescales once at the end; fuse is combine of two masses.
+once; rescale, onto a target, inside total-proportional's one quotient
+and by over_normalize's float division for pcr5. average is the per-set
+mean. combine is the one dispatcher: for two or more masses it picks the
+rule and runs pcr5 as a left fold; fuse is combine of two masses.
 Rules are pure functions over immutable inputs, and iteration follows
 ascending bitmask order, so identical inputs yield bit-identical reports.
 """
@@ -85,7 +86,8 @@ class FusionReport:
     combination, rounded once; normalization rescales it alongside the
     weights.
     divisor accumulates every rescaling applied (1 when none was), so
-    Dempster's is 1 - conflict however many masses it combined.
+    Dempster's is 1 - conflict however many masses it combined, and a
+    rescale's is the grand total over the target's total.
     skipped_fractions counts conflicting products discarded because both
     source weights were zero, which makes the proportional split's
     denominator zero; such products are themselves zero, so conservation
@@ -173,29 +175,29 @@ def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
 
     The divisor is the current grand total over the target's sum; for two
     strict sources this equals (sum m1)(sum m2)/(lo+hi). Every weight,
-    the conflict field, and the empty-set bucket are divided by it. The
-    result adopts the target range.
+    the conflict field, and the empty-set bucket are divided by it, in
+    floats. The result adopts the target range. combine rescales pcr5
+    this way; total-proportional rescales inside its spread instead.
     """
-    if target.total <= 0.0:
-        raise RuleGuardError(
-            "target range sums to %r; normalization needs a positive total"
-            % target.total
-        )
-    grand = report.result.total
-    divisor = grand / target.total
-    if not 0.0 < divisor < inf:
-        raise RuleGuardError(
-            "grand total %r gives normalization divisor %r, outside (0, inf)"
-            % (grand, divisor)
-        )
+    divisor = _rescale_divisor(*report.result.total.as_integer_ratio(), target)
     weights = {b: w / divisor for b, w in report.result.weights.bits.items()}
     result = MassFunction(report.result.frame, Weights(report.result.frame, weights), target)
-    return replace(
-        report,
-        result=result,
-        conflict=report.conflict / divisor,
-        divisor=report.divisor * divisor,
-    )
+    return replace(report, result=result, conflict=report.conflict / divisor, divisor=report.divisor * divisor)
+
+
+def _rescale_divisor(num: int, den: int, target: MassRange) -> float:
+    """A grand total num/den over target's total, rounded once; a divisor outside (0, inf) is refused."""
+    if target.total <= 0.0:
+        raise RuleGuardError("target range sums to %r; normalization needs a positive total" % target.total)
+    tn, td = target.total.as_integer_ratio()
+    try:
+        divisor = num * td / (den * tn)
+    except OverflowError:
+        divisor = inf
+    if not 0.0 < divisor < inf:
+        raise RuleGuardError("grand total %r gives normalization divisor %r, outside (0, inf)"
+                             % (_quotient(num, den), divisor))
+    return divisor
 
 
 def total_proportional(report: FusionReport) -> FusionReport:
@@ -264,7 +266,8 @@ def combine(
     refuses, is the same in any order of the masses, and a vacuous mass
     changes none of them. Last, with normalize, pcr5 and
     total-proportional rescale once onto target, which defaults to the
-    union of the input ranges, the range of their report.
+    union of the input ranges, the range of their report:
+    total-proportional inside its one quotient, pcr5 by over_normalize.
     """
     pool = tuple(masses)
     if len(pool) < 2:
@@ -274,16 +277,15 @@ def combine(
     _check_pool(pool, rule)
     if rule is RuleId.AVERAGE:
         return average(pool)
-    if rule is RuleId.PCR5:
-        report = pcr5(pool[0], pool[1])
-        for m in pool[2:]:
-            step = pcr5(report.result, m)
-            report = replace(step, skipped_fractions=report.skipped_fractions + step.skipped_fractions)
-    else:
-        report = _fold_report(pool, rule, *_conjunctive_numerators(pool))
-    if not normalize or rule not in (RuleId.PCR5, RuleId.TOTAL_PROPORTIONAL):
-        return report
-    return over_normalize(report, target or report.result.range)
+    rescale = normalize and rule in (RuleId.PCR5, RuleId.TOTAL_PROPORTIONAL)
+    target = (target or interval_union(*(m.range for m in pool))) if rescale else None
+    if rule is not RuleId.PCR5:
+        return _fold_report(pool, rule, *_conjunctive_numerators(pool), target)
+    report = pcr5(pool[0], pool[1])
+    for m in pool[2:]:
+        step = pcr5(report.result, m)
+        report = replace(step, skipped_fractions=report.skipped_fractions + step.skipped_fractions)
+    return over_normalize(report, target) if target else report
 
 
 def _conjunctive_numerators(pool: Sequence[MassFunction]) -> tuple[dict[int, int], int]:
@@ -404,41 +406,44 @@ def _fold_report(
     rule: RuleId,
     numerators: dict[int, int],
     den: int,
+    target: MassRange | None = None,
 ) -> FusionReport:
     """The report of the rule over pool, from the numerators of its exact n-ary conjunctive over den.
 
-    This is the one redistribute stage. With e the numerator on the empty
-    set, the conflict is e/den for every rule, and each nonempty numerator
-    n is rounded once: conjunctive keeps n/den, and the conflict on the
-    empty set; dempster renormalizes to n/(den - e), with the divisor
+    The one redistribute stage. With e the numerator on the empty set,
+    the conflict is e/den, and each nonempty numerator n is rounded once:
+    conjunctive keeps n/den, and the conflict on the empty set; dempster
+    renormalizes onto the classical range, n/(den - e), with the divisor
     (den - e)/den, that is 1 - conflict; total-proportional spreads the
-    conflict pro rata to n*g/((g - e)*den), for g the sum of all
-    numerators (the weight times the factor 1 + k/S); as n <= g - e, no
-    weight exceeds the grand total g/den, and the one refusal is a
-    conflict with no focal weight (g = e); pcr5 keeps n/den and adds to
-    it, for the two masses of pool, the float shares of each conflicting
-    product (see pcr5) by one fsum, counting the products it skips.
+    conflict pro rata and rescales onto target, of total T, as one
+    quotient n*T/(g - e), with g the sum of all numerators, the conflict
+    e*T/g and the divisor g/(den*T) (with no target T = g/den: the factor
+    1 + k/S and divisor 1), refusing a conflict with no focal weight, then
+    as over_normalize does; pcr5 keeps n/den and adds to it, for the two
+    masses of pool, the float shares of each conflicting product (see
+    pcr5) by one fsum, counting the products it skips. Other results take
+    the union of pool's ranges.
     """
     frame = pool[0].frame
     e = numerators.get(0, 0)
-    k = _quotient(e, den)
-    scale, base, skipped = 1, den, 0
+    scale, base, divisor, skipped = 1, den, 1.0, 0
+    if rule is RuleId.TOTAL_PROPORTIONAL and (e or target):
+        g = sum(numerators.values())
+        if e == g and e:
+            raise RuleGuardError("no positive focal weight to absorb conflict %r onto" % _quotient(e, den))
+        divisor = _rescale_divisor(g, den, target) if target else 1.0
+        scale, unit = target.total.as_integer_ratio() if target else (g, den)
+        base = (g - e) * unit
+        k = _quotient(e * scale, g * unit)
+    else:
+        k = _quotient(e, den)
     if rule is RuleId.DEMPSTER:
         if k >= 1.0 - SUM_EPSILON:
             raise RuleGuardError("conflict k=%r leaves nothing to renormalize; dempster is undefined" % k)
-        base = den - e
-    elif rule is RuleId.TOTAL_PROPORTIONAL and e:
-        scale = sum(numerators.values())
-        focal = scale - e
-        if not focal:
-            raise RuleGuardError("no positive focal weight to absorb conflict %r onto" % k)
-        base = focal * den
+        base, divisor, target = den - e, _quotient(den - e, den), CLASSICAL_RANGE
     weights = {b: _quotient(n * scale, base) for b, n in numerators.items() if b}
     if rule is RuleId.CONJUNCTIVE:
         weights[0] = k
-    elif rule is RuleId.DEMPSTER:
-        result = MassFunction(frame, Weights(frame, weights), CLASSICAL_RANGE)
-        return FusionReport(result, k, _quotient(den - e, den), rule)
     elif rule is RuleId.PCR5:
         m1, m2 = pool
         shares: defaultdict[int, list[float]] = defaultdict(list)
@@ -456,5 +461,5 @@ def _fold_report(
                 shares[y].append(w2 * p / denom)
         for b, parts in shares.items():
             weights[b] = checked_fsum([weights.get(b, 0.0), *parts])
-    result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
-    return FusionReport(result, k, 1.0, rule, skipped)
+    result = MassFunction(frame, Weights(frame, weights), target or interval_union(*(m.range for m in pool)))
+    return FusionReport(result, k, divisor, rule, skipped)

@@ -4,17 +4,21 @@ The n-ary conjunctive combination is taken on ``fractions.Fraction``
 instead of floats. Its empty-set weight is the conflict; the rule then
 applies its one renormalisation (none, Dempster's division by 1 - k, or
 total-proportional's factor 1 + k/S) with the guards that can fire on
-nonnegative inputs. Only the returned report is rounded, field by field.
+nonnegative inputs. Given a target, total-proportional's result is then
+rescaled by T/grand, for T the target's total, with the conflict, and its
+divisor is grand/T, refused as the library refuses a rescale. Only the
+returned report is rounded, field by field.
 """
 
 from fractions import Fraction
+from math import inf
 
 from overmass.errors import RuleGuardError
 from overmass.mass import CLASSICAL_RANGE, SUM_EPSILON, MassFunction, Weights, interval_union
 from overmass.rules import FusionReport, RuleId
 
 
-def fraction_fold(masses, rule):
+def fraction_fold(masses, rule, target=None):
     acc = {b: Fraction(w) for b, w in masses[0].weights.bits.items()}
     for m in masses[1:]:
         combined = {}
@@ -23,6 +27,7 @@ def fraction_fold(masses, rule):
                 combined[x & y] = combined.get(x & y, 0) + a * Fraction(b)
         acc = combined
     k = acc.get(0, Fraction(0))
+    grand = sum(acc.values())
     divisor = Fraction(1)
     if rule is RuleId.DEMPSTER:
         if float(k) >= 1.0 - SUM_EPSILON:
@@ -39,5 +44,15 @@ def fraction_fold(masses, rule):
         mass_range = CLASSICAL_RANGE
     else:
         mass_range = interval_union(*(m.range for m in masses))
+    if rule is RuleId.TOTAL_PROPORTIONAL and target is not None:
+        if target.total <= 0.0:
+            raise RuleGuardError("target range sums to %r; normalization needs a positive total" % target.total)
+        divisor = grand / Fraction(target.total)
+        if not 0.0 < float(divisor) < inf:
+            raise RuleGuardError("grand total %r gives normalization divisor %r, outside (0, inf)"
+                                 % (float(grand), float(divisor)))
+        acc = {b: w / divisor for b, w in acc.items()}
+        k /= divisor
+        mass_range = target
     weights = Weights(frame, {b: float(w) for b, w in acc.items()})
     return FusionReport(MassFunction(frame, weights, mass_range), float(k), float(divisor), rule)

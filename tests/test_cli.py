@@ -26,7 +26,7 @@ from overmass.cli import (
 from overmass.errors import ParseError, RuleGuardError, ValidationError
 from overmass.frame import make_frame
 from overmass.mass import CLASSICAL_RANGE, MassFunction, MassRange, Weights, interval_union
-from overmass.rules import FusionReport, RuleId, fuse, over_normalize
+from overmass.rules import FusionReport, RuleId, fuse
 
 WILDFIRE = Path(__file__).resolve().parents[1] / "examples" / "wildfire.json"
 DEMPSTER_PAIR = WILDFIRE.with_name("dempster-pair.json")
@@ -111,6 +111,11 @@ NO_SOURCES = json.dumps({"frame": ["A", "B"], "sources": []})
 SUBNORMAL_FOCAL_SOURCES = [
     {"range": [0, 1.5], "masses": {"B": 2.225073858507e-311, "A|C": 1.0}},
     {"range": [0, 1.5], "masses": {"B": 1.0}},
+]
+# Every spread weight underflows, yet the rescale onto [0, 1.5] exists.
+SUBNORMAL_GRAND_SOURCES = [
+    {"range": [0, 1.5], "masses": {"C|D": 5e-324}},
+    {"range": [0, 1.5], "masses": {"B|C": 0.4, "C|D": 0.49}},
 ]
 
 
@@ -280,9 +285,8 @@ class TestRunPipeline:
         for sources, rule, target in cases:
             doc = load_document(doc_text(sources=sources, pipeline={"rule": rule.value, "target": target}))
             masses = [s.mass for s in doc.sources]
-            want = fraction_fold(masses, rule)
-            if rule is RuleId.TOTAL_PROPORTIONAL:
-                want = over_normalize(want, MassRange(*target) if target else interval_union(*(m.range for m in masses)))
+            rescale = MassRange(*target) if target else interval_union(*(m.range for m in masses))
+            want = fraction_fold(masses, rule, rescale if rule is RuleId.TOTAL_PROPORTIONAL else None)
             assert run_pipeline(doc) == want
 
 
@@ -426,6 +430,15 @@ class TestMainExitCodes:
         assert [line.split() for line in captured.out.splitlines()[:2]] == [
             ["B", "∅", "sum"], ["1.50000000000000000", "0.00000000000000000", "1.50000000000000000"]]
         assert "divisor: 0.66666666666666663\n" in captured.out
+        # A subnormal grand total rescales from the exact numerators, not from weights rounded to 0.0.
+        path = self.write(tmp_path, doc_text(frame="BCD", sources=SUBNORMAL_GRAND_SOURCES,
+                                             pipeline={"rule": "total-proportional"}))
+        assert main(["fuse", "--input", path, "--precision", "17"]) == 0
+        captured = capsys.readouterr()
+        assert [line.split() for line in captured.out.splitlines()[:2]] == [
+            ["C", "C|D", "∅", "sum"],
+            ["0.67415730337078650", "0.82584269662921350", "0.00000000000000000", "1.50000000000000000"]]
+        assert captured.err == ""
 
     def test_fuse_validation_exit(self, tmp_path, capsys):
         bad = doc_text(

@@ -60,8 +60,11 @@ def test_equals_the_fraction_fold_rounded_once(data):
     masses = data.draw(source_lists(rule))
     want = outcome(lambda: fraction_fold(masses, rule))
     assert outcome(lambda: combine(masses, rule, normalize=False)) == want
-    if rule is RuleId.TOTAL_PROPORTIONAL and want is not RuleGuardError:
-        assert outcome(lambda: combine(masses, rule)) == outcome(lambda: over_normalize(want, want.result.range))
+    if rule is RuleId.TOTAL_PROPORTIONAL:
+        # Rescaled onto the sources' range [0, 1.5] by default, or onto a given target.
+        target = data.draw(st.sampled_from([None, MassRange(-0.1, 1.3)]))
+        rescaled = outcome(lambda: fraction_fold(masses, rule, target or MassRange(0.0, 1.5)))
+        assert outcome(lambda: combine(masses, rule, target)) == rescaled
 
 
 @settings(max_examples=30, deadline=None)
@@ -284,13 +287,20 @@ def test_intermediate_overflow_no_longer_fails(tmp_path, capsys, rule):
     head, body = capsys.readouterr().out.splitlines()[:2]
     assert head.split()[0] == "A"
     assert float(body.split()[0]) == pytest.approx(1e200 if rule == "conjunctive" else 1e300, rel=1e-12)
+    if rule == "total-proportional":
+        # A grand total of 1e600 rescales onto [0, 1e300] inside one quotient.
+        path.write_text(overflow_document(1e200, 1e200, 1e200, rule=rule), encoding="utf-8")
+        assert main(["fuse", "--input", str(path), "--precision", "0"]) == 0
+        body = capsys.readouterr().out.splitlines()[1]
+        assert float(body.split()[0]) == pytest.approx(1e300, rel=1e-12)
 
 
-@pytest.mark.parametrize("rule", ["conjunctive", "total-proportional"])
-def test_overflowing_result_is_a_validation_error(tmp_path, capsys, rule):
+@pytest.mark.parametrize("rule, flags", [("conjunctive", []), ("total-proportional", ["--target", "0,1.5"])])
+def test_a_weight_or_divisor_beyond_the_float_range_is_a_validation_error(tmp_path, capsys, rule, flags):
+    # Conjunctive's weight on A is 1e600; total-proportional's is 1.5, but its divisor is 1e600 / 1.5.
     path = tmp_path / "doc.json"
     path.write_text(overflow_document(1e200, 1e200, 1e200, rule=rule), encoding="utf-8")
-    assert main(["fuse", "--input", str(path)]) == 1
+    assert main(["fuse", "--input", str(path), *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "beyond the float range" in captured.err

@@ -16,6 +16,7 @@ from overmass.rules import (
     FusionReport,
     RuleId,
     average,
+    combine,
     conjunctive,
     dempster,
     fuse,
@@ -257,9 +258,20 @@ class TestOverNormalize:
         assert report.result.total == pytest.approx(1.2, abs=1e-9)
         assert report.divisor == pytest.approx(1.1, abs=1e-9)
 
-    def test_result_adopts_target_range(self, mixed_pair):
+    @pytest.mark.parametrize("rule", [
+        RuleId.TOTAL_PROPORTIONAL,
+        pytest.param(RuleId.PCR5, marks=pytest.mark.xfail(
+            strict=True, reason="pcr5 rescales rounded weights by a float divisor (ROADMAP item 3)")),
+    ], ids=lambda rule: rule.value)
+    def test_result_adopts_target_range(self, ab, mixed_pair, rule):
         report = over_normalize(pcr5(*mixed_pair), MassRange(0, 1.2))
         assert report.result.range == MassRange(0, 1.2)
+        # A grand total of 1e-323 rescales onto [0, 1.5] and stays inside it.
+        tiny = [make_mass(ab, {"A": 5e-324, "B": 5e-324}, MassRange(0, 1.5)),
+                make_mass(ab, {"A": 1.0}, MassRange(0, 1.5))]
+        report = combine(tiny, rule)
+        assert (dict(report.result.weights.items()), report.result.range) == ({ab.singleton("A"): 1.5}, tiny[0].range)
+        assert (report.result.total, report.conflict) == (1.5, 0.75)
 
     def test_nonpositive_target_sum_rejected(self, mixed_pair):
         report = conjunctive(*mixed_pair)
