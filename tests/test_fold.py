@@ -295,7 +295,8 @@ def test_intermediate_overflow_no_longer_fails(tmp_path, capsys, rule):
         assert float(body.split()[0]) == pytest.approx(1e300, rel=1e-12)
 
 
-@pytest.mark.parametrize("rule, flags", [("conjunctive", []), ("total-proportional", ["--target", "0,1.5"])])
+@pytest.mark.parametrize("rule, flags", [("conjunctive", []), ("total-proportional", ["--target", "0,1.5"])],
+                         ids=["conjunctive", "total-proportional"])
 def test_a_weight_or_divisor_beyond_the_float_range_is_a_validation_error(tmp_path, capsys, rule, flags):
     # Conjunctive's weight on A is 1e600; total-proportional's is 1.5, but its divisor is 1e600 / 1.5.
     path = tmp_path / "doc.json"
