@@ -3,16 +3,14 @@
 Every rule returns a FusionReport: the combined mass plus the same audit
 fields for every rule at every source count (conflict, normalization
 divisor, rule, skipped products). The pairwise products of two masses are
-an explicit call, pairwise_products. Every rule but average runs one
-pipeline: combine, the n-ary conjunctive combination in exact integer
-arithmetic; redistribute, in _fold_report, by one of four redistributions
-of its empty-set weight (none for conjunctive, Dempster's
-renormalization, total-proportional's pro rata spread, or pcr5's float
-shares of each conflicting product of two masses), each field rounded
-once; rescale, onto a target, inside total-proportional's one quotient
-and by over_normalize's float division for pcr5. average is the per-set
-mean. combine is the one dispatcher: for two or more masses it picks the
-rule and runs pcr5 as a left fold; fuse is combine of two masses.
+an explicit call, pairwise_products. Every rule runs one pipeline:
+combine, exactly in integers, the n-ary conjunctive or average's per-set
+sums; redistribute, in _fold_report, the empty-set weight (none for
+conjunctive and average; Dempster's renormalization, total-proportional's
+pro rata spread, pcr5's float shares of each conflicting product of two
+masses), each field rounded once; rescale onto a target, inside
+total-proportional's one quotient or by over_normalize for pcr5. combine
+is the one dispatcher: it picks the rule and runs pcr5 as a left fold.
 Rules are pure functions over immutable inputs, and iteration follows
 ascending bitmask order, so identical inputs yield bit-identical reports.
 """
@@ -22,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import inf, prod
+from math import frexp, inf, prod
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -176,13 +174,17 @@ def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
     The divisor is the current grand total over the target's sum; for two
     strict sources this equals (sum m1)(sum m2)/(lo+hi). Every weight,
     the conflict field, and the empty-set bucket are divided by it, in
-    floats. The result adopts the target range. combine rescales pcr5
-    this way; total-proportional rescales inside its spread instead.
+    floats, it and they scaled up by one power of two if it is subnormal,
+    so it keeps its digits. The result adopts the target range. combine
+    rescales pcr5 this way; total-proportional inside its spread instead.
     """
-    divisor = _rescale_divisor(*report.result.total.as_integer_ratio(), target)
-    weights = {b: w / divisor for b, w in report.result.weights.bits.items()}
+    num, den = report.result.total.as_integer_ratio()
+    divisor = _rescale_divisor(num, den, target)
+    s = max(0, -1021 - frexp(divisor)[1])
+    scaled, unit = _rescale_divisor(num << s, den, target), 2.0 ** s
+    weights = {b: w * unit / scaled for b, w in report.result.weights.bits.items()}
     result = MassFunction(report.result.frame, Weights(report.result.frame, weights), target)
-    return replace(report, result=result, conflict=report.conflict / divisor, divisor=report.divisor * divisor)
+    return replace(report, result=result, conflict=report.conflict * unit / scaled, divisor=report.divisor * divisor)
 
 
 def _rescale_divisor(num: int, den: int, target: MassRange) -> float:
@@ -216,7 +218,7 @@ def total_proportional(report: FusionReport) -> FusionReport:
 
 
 def average(masses: Sequence[MassFunction]) -> FusionReport:
-    """Per-focal-set arithmetic mean; the only rule that accepts negative weights.
+    """Per-focal-set arithmetic mean, the exact sum over the pool size rounded once; the only rule that accepts negative weights.
 
     Produces no conflict: the empty set stays at zero and the result range
     is the union of the input ranges.
@@ -225,11 +227,12 @@ def average(masses: Sequence[MassFunction]) -> FusionReport:
     if len(pool) < 2:
         raise ValidationError("average needs at least two masses, got %d" % len(pool))
     _check_pool(pool, RuleId.AVERAGE)
-    frame = pool[0].frame
-    keys = {b for m in pool for b in m.weights.bits} - {0}
-    weights = {b: checked_fsum(m.weights.bits.get(b, 0.0) for m in pool) / len(pool) for b in keys}
-    result = MassFunction(frame, Weights(frame, weights), interval_union(*(m.range for m in pool)))
-    return FusionReport(result, 0.0, 1.0, RuleId.AVERAGE)
+    ratios = [(b, w.as_integer_ratio()) for m in pool for b, w in m.weights.bits.items() if b]
+    den = max([d for _, (_, d) in ratios], default=1)
+    sums: defaultdict[int, int] = defaultdict(int)
+    for b, (n, d) in ratios:
+        sums[b] += n * (den // d)
+    return _fold_report(pool, RuleId.AVERAGE, sums, den * len(pool))
 
 
 def fuse(
@@ -253,30 +256,29 @@ def combine(
 ) -> FusionReport:
     """Two or more masses through one pipeline: combine, redistribute the conflict, rescale.
 
-    First _check_pool refuses a pool the rule cannot combine, with the
-    same error in any order of the masses. average is the per-set mean of
-    the whole pool. pcr5 is not associative, so it runs as a left fold of
-    pairwise pcr5 calls, each intermediate result left unnormalized, and
-    over three or more masses it depends on their order. conjunctive,
-    dempster and total-proportional take the n-ary conjunctive combination
-    exactly, each field rounded once: its empty-set weight is the
-    conflict; dempster renormalizes the rest by 1 - conflict, which is its
-    divisor, and total-proportional spreads the conflict over the focal
-    sets pro rata. So every field of their report, and whether the rule
-    refuses, is the same in any order of the masses, and a vacuous mass
-    changes none of them. Last, with normalize, pcr5 and
-    total-proportional rescale once onto target, which defaults to the
-    union of the input ranges, the range of their report:
-    total-proportional inside its one quotient, pcr5 by over_normalize.
+    average, the per-set mean of the whole pool, checks the pool itself;
+    for the other rules _check_pool first refuses a pool the rule cannot
+    combine, by the same error in any order of the masses. pcr5 is not
+    associative, so it runs as a left fold of pairwise pcr5 calls, each
+    intermediate result left unnormalized, and over three or more masses
+    it depends on their order. conjunctive, dempster and total-proportional
+    take the n-ary conjunctive combination exactly, each field rounded
+    once: its empty-set weight is the conflict; dempster renormalizes the
+    rest by 1 - conflict, its divisor, and total-proportional spreads the
+    conflict over the focal sets pro rata, so a vacuous mass changes none
+    of their fields. Their reports and average's, refusals included, are
+    the same in any order of the masses. Last, with normalize, pcr5 and
+    total-proportional rescale once onto target, by default the union of
+    the input ranges: inside its one quotient or by over_normalize.
     """
     pool = tuple(masses)
     if len(pool) < 2:
         raise ValidationError("a fold needs at least two masses, got %d" % len(pool))
     if not isinstance(rule, RuleId):
         raise ValidationError("unknown rule %r; choose a RuleId" % (rule,))
-    _check_pool(pool, rule)
     if rule is RuleId.AVERAGE:
         return average(pool)
+    _check_pool(pool, rule)
     rescale = normalize and rule in (RuleId.PCR5, RuleId.TOTAL_PROPORTIONAL)
     target = (target or interval_union(*(m.range for m in pool))) if rescale else None
     if rule is not RuleId.PCR5:
@@ -412,7 +414,9 @@ def _fold_report(
 
     The one redistribute stage. With e the numerator on the empty set,
     the conflict is e/den, and each nonempty numerator n is rounded once:
-    conjunctive keeps n/den, and the conflict on the empty set; dempster
+    conjunctive keeps n/den, and the conflict on the empty set; average
+    keeps n/den, its numerators the per-set sums and den len(pool) times
+    the sources' denominator, so e = 0, conflict 0 and divisor 1; dempster
     renormalizes onto the classical range, n/(den - e), with the divisor
     (den - e)/den, that is 1 - conflict; total-proportional spreads the
     conflict pro rata and rescales onto target, of total T, as one

@@ -7,7 +7,9 @@ total-proportional's factor 1 + k/S) with the guards that can fire on
 nonnegative inputs. Given a target, total-proportional's result is then
 rescaled by T/grand, for T the target's total, with the conflict, and its
 divisor is grand/T, refused as the library refuses a rescale. Only the
-returned report is rounded, field by field.
+returned report is rounded, field by field. The average rule instead
+takes the mean of the sources' weights on each nonempty set, with no
+conflict, divisor 1 and the union of their ranges.
 """
 
 from fractions import Fraction
@@ -19,6 +21,13 @@ from overmass.rules import FusionReport, RuleId
 
 
 def fraction_fold(masses, rule, target=None):
+    frame = masses[0].frame
+    if rule is RuleId.AVERAGE:
+        keys = sorted({b for m in masses for b in m.weights.bits} - {0})
+        means = {b: sum(Fraction(m.weights.bits.get(b, 0.0)) for m in masses) / len(masses) for b in keys}
+        result = MassFunction(frame, Weights(frame, {b: float(w) for b, w in means.items()}),
+                              interval_union(*(m.range for m in masses)))
+        return FusionReport(result, 0.0, 1.0, rule)
     acc = {b: Fraction(w) for b, w in masses[0].weights.bits.items()}
     for m in masses[1:]:
         combined = {}
@@ -39,7 +48,6 @@ def fraction_fold(masses, rule, target=None):
         if focal == 0:
             raise RuleGuardError("no focal weight to absorb the conflict")
         acc = {b: w * (1 + k / focal) for b, w in acc.items() if b}
-    frame = masses[0].frame
     if rule is RuleId.DEMPSTER:
         mass_range = CLASSICAL_RANGE
     else:

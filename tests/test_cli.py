@@ -414,6 +414,13 @@ class TestMainExitCodes:
         for rule in ("conjunctive", "dempster", "pcr5", "total-proportional"):
             assert main(["fuse", "--input", path, "--rule", rule]) == 3
         assert main(["fuse", "--input", path, "--rule", "average"]) == 0
+        # The sum on A, 2e308, is beyond the float range; the mean is not.
+        huge = [{"range": [0, 1.7e308], "masses": masses} for masses in ({"A": 1e308}, {"A": 1e308, "B": 0.5})]
+        path = self.write(tmp_path, doc_text(sources=huge, pipeline={"rule": "average"}))
+        capsys.readouterr()
+        assert main(["fuse", "--input", path, "--format", "csv", "--precision", "17"]) == 0
+        header, row = list(csv.reader(capsys.readouterr().out.splitlines()))[:2]
+        assert dict(zip(header, map(float, row))) == {"A": 1e308, "B": 0.25, "∅": 0.0, "sum": 1e308}
 
     def test_fuse_spreads_conflict_onto_a_subnormal_focal_total(self, tmp_path, capsys):
         path = self.write(tmp_path, doc_text(frame="ABC", sources=SUBNORMAL_FOCAL_SOURCES,

@@ -1,4 +1,4 @@
-"""combine under conjunctive, Dempster and total-proportional: two or more sources, exact and rounded once."""
+"""combine under conjunctive, Dempster, total-proportional and average: two or more sources, exact and rounded once."""
 
 import json
 from dataclasses import replace
@@ -19,13 +19,17 @@ from overmass.rules import RuleId, average, combine, over_normalize, pcr5
 
 LABELS = "ABCDEF"
 FOLDED = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
+EXACT = (*FOLDED, RuleId.AVERAGE)
+# Weights as documents spell them, whose sums and products are seldom exact floats.
+DECIMALS = st.integers(min_value=1, max_value=1000).map(lambda n: n / 1000)
 
 
 @st.composite
 def source_lists(draw, rule, max_labels=6):
     """2 to 5 masses on one frame, some weights tiny down to the least subnormal.
 
-    Zero weights except under Dempster, whose masses sum to 1 within SUM_EPSILON.
+    Zero weights except under Dempster, whose masses sum to 1 within
+    SUM_EPSILON; negative ones down to -0.2 under average alone.
     """
     n = draw(st.integers(min_value=2, max_value=max_labels))
     frame = make_frame(LABELS[:n])
@@ -33,14 +37,16 @@ def source_lists(draw, rule, max_labels=6):
     masses = []
     for _ in range(draw(st.integers(min_value=2, max_value=5))):
         sets = draw(st.lists(st.integers(min_value=1, max_value=full), min_size=1, max_size=8, unique=True))
-        weight = st.one_of(st.floats(min_value=0.001, max_value=1.0), st.sampled_from([5e-324, 2.2e-311, 1e-200]))
+        weight = st.one_of(st.floats(min_value=0.001, max_value=1.0), DECIMALS, st.sampled_from([5e-324, 2.2e-311, 1e-200]))
         if rule is not RuleId.DEMPSTER:
             weight = st.one_of(st.just(0.0), weight)
+        if rule is RuleId.AVERAGE:
+            weight = st.one_of(weight, weight.map(lambda w: -w / 5))
         weights = [draw(weight) for _ in sets]
         if rule is RuleId.DEMPSTER:
             total = sum(weights) / (1 + draw(st.floats(min_value=-SUM_EPSILON / 2, max_value=SUM_EPSILON / 2)))
             weights = [w / total for w in weights]
-        mass_range = CLASSICAL_RANGE if rule is RuleId.DEMPSTER else MassRange(0.0, 1.5)
+        mass_range = {RuleId.DEMPSTER: CLASSICAL_RANGE, RuleId.AVERAGE: MassRange(-0.2, 1.5)}.get(rule, MassRange(0.0, 1.5))
         masses.append(MassFunction(frame, Weights(frame, dict(zip(sets, weights))), mass_range))
     return masses
 
@@ -56,7 +62,7 @@ def outcome(fold):
 @settings(deadline=None)
 @given(st.data())
 def test_equals_the_fraction_fold_rounded_once(data):
-    rule = data.draw(st.sampled_from(FOLDED))
+    rule = data.draw(st.sampled_from(EXACT))
     masses = data.draw(source_lists(rule))
     want = outcome(lambda: fraction_fold(masses, rule))
     assert outcome(lambda: combine(masses, rule, normalize=False)) == want
@@ -71,7 +77,7 @@ def test_equals_the_fraction_fold_rounded_once(data):
 @given(st.data())
 def test_weights_do_not_depend_on_source_order(data):
     # Whole reports: weights, range, conflict, divisor, and whether the rule refuses.
-    for rule in FOLDED:
+    for rule in EXACT:
         masses = data.draw(source_lists(rule, max_labels=4))
         for normalize in (False, True):
             first, *rest = [outcome(lambda: combine(order, rule, normalize=normalize))
@@ -221,6 +227,13 @@ class TestGuards:
         assert calls == []
         combine(masses[:2] * 2, RuleId.PCR5)
         assert len(calls) == 3
+
+    def test_an_average_pool_is_checked_once(self, monkeypatch):
+        checked = []
+        check = rules._check_pool
+        monkeypatch.setattr(rules, "_check_pool", lambda pool, rule: checked.append(rule) or check(pool, rule))
+        combine([make_mass(self.ab, {"A": -0.1, "B": 0.6}, MassRange(-0.2, 1))] * 3, RuleId.AVERAGE)
+        assert checked == [RuleId.AVERAGE]
 
     def test_total_proportional_needs_focal_weight(self):
         with pytest.raises(RuleGuardError, match="no positive focal weight to absorb conflict 1.0"):

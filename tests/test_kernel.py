@@ -1,16 +1,17 @@
 """The two-source rules against references that share none of their code.
 
 Every rule's conjunctive part is the exact combination of the pair,
-rounded once. conjunctive, dempster and total-proportional are combine
-of the pair, so they must equal the rational reference rounded once,
-field for field. pcr5 is checked against an oracle built on the same
-rational reference: its conflict and each set's conjunctive weight are
-the reference's, and its shares are taken in a second pass over the eager
-trace, one FocalSet intersection and one TraceRecord per product. The
-rule must reproduce it exactly, not approximately: each set's weight is
-its conjunctive weight and the same multiset of float shares, summed by
-the same correctly rounded fsum. pairwise_products must equal that eager
-trace on every pair, and no rule may build a TraceRecord.
+rounded once. conjunctive, dempster, total-proportional and average are
+combine of the pair, so they must equal the rational reference rounded
+once, field for field, average with or without a rescale. pcr5 is
+checked against an oracle built on the same rational reference: its
+conflict and each set's conjunctive weight are the reference's, and its
+shares are taken in a second pass over the eager trace, one FocalSet
+intersection and one TraceRecord per product. The rule must reproduce it
+exactly, not approximately: each set's weight is its conjunctive weight
+and the same multiset of float shares, summed by the same correctly
+rounded fsum. pairwise_products must equal that eager trace on every
+pair, and no rule may build a TraceRecord.
 """
 
 import random
@@ -94,7 +95,7 @@ def oracle_pcr5(m1, m2):
     return FusionReport(result, conflict, 1.0, RuleId.PCR5, skipped)
 
 
-EXACT_RULES = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
+EXACT_RULES = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL, RuleId.AVERAGE)
 
 
 # Zero weights make pcr5 skip products.

@@ -258,19 +258,20 @@ class TestOverNormalize:
         assert report.result.total == pytest.approx(1.2, abs=1e-9)
         assert report.divisor == pytest.approx(1.1, abs=1e-9)
 
-    @pytest.mark.parametrize("rule", [
-        RuleId.TOTAL_PROPORTIONAL,
-        pytest.param(RuleId.PCR5, marks=pytest.mark.xfail(
-            strict=True, reason="pcr5 rescales rounded weights by a float divisor (ROADMAP item 3)")),
-    ], ids=lambda rule: rule.value)
-    def test_result_adopts_target_range(self, ab, mixed_pair, rule):
+    @pytest.mark.parametrize("rule, weights", [
+        pytest.param(RuleId.TOTAL_PROPORTIONAL, {0b01: 1.5}, id="total-proportional"),
+        # pcr5 keeps B for its zero share of B's conflict with A.
+        pytest.param(RuleId.PCR5, {0b01: 1.5, 0b10: 0.0}, id="pcr5"),
+    ])
+    def test_result_adopts_target_range(self, ab, mixed_pair, rule, weights):
         report = over_normalize(pcr5(*mixed_pair), MassRange(0, 1.2))
         assert report.result.range == MassRange(0, 1.2)
-        # A grand total of 1e-323 rescales onto [0, 1.5] and stays inside it.
+        # A grand total of 1e-323 rescales onto [0, 1.5] and stays inside it;
+        # pcr5's divisor, 1e-323 / 1.5, is subnormal.
         tiny = [make_mass(ab, {"A": 5e-324, "B": 5e-324}, MassRange(0, 1.5)),
                 make_mass(ab, {"A": 1.0}, MassRange(0, 1.5))]
         report = combine(tiny, rule)
-        assert (dict(report.result.weights.items()), report.result.range) == ({ab.singleton("A"): 1.5}, tiny[0].range)
+        assert (dict(report.result.weights.bits), report.result.range) == (weights, tiny[0].range)
         assert (report.result.total, report.conflict) == (1.5, 0.75)
 
     def test_nonpositive_target_sum_rejected(self, mixed_pair):
@@ -368,6 +369,8 @@ class TestAverage:
     def test_idempotent(self, ab):
         m = make_mass(ab, {"A": 0.4, "B": 0.6}, CLASSICAL_RANGE, strict=True)
         assert average((m, m)).result == m
+        empty = make_mass(ab, {}, CLASSICAL_RANGE)
+        assert average((empty, empty)).result == empty
 
     def test_cancellation(self):
         frame = make_frame(["fire", "clear"])
