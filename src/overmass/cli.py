@@ -177,7 +177,7 @@ def render_document(doc: ScenarioDocument) -> str:
             {
                 "name": s.name,
                 "range": [s.mass.range.lo, s.mass.range.hi],
-                "masses": {s.mass.frame._format_bits(b): w for b, w in s.mass.weights.bits.items()},
+                "masses": dict(zip(s.mass.frame._names(s.mass.weights.bits), s.mass.weights.bits.values())),
             }
             for s in doc.sources
         ],
@@ -204,17 +204,20 @@ def run_pipeline(doc: ScenarioDocument) -> FusionReport:
 
 def _columns(report: FusionReport, precision: int) -> tuple[list[str], list[str]]:
     result = report.result
-    headers = [result.frame._format_bits(b) for b in result.weights.bits if b] + [EMPTY_SYMBOL, "sum"]
-    values = [w for b, w in result.weights.bits.items() if b] + [result.conflict_weight, result.total]
-    return headers, ["%.*f" % (precision, v) for v in values]
+    bits = result.weights.bits
+    masks = [b for b in bits if b]
+    headers = result.frame._names(masks) + [EMPTY_SYMBOL, "sum"]
+    values = [bits[b] for b in masks] + [result.conflict_weight, result.total]
+    # Every cell in one formatting call, a line each.
+    return headers, (("%%.%df\n" % precision) * len(values) % tuple(values)).split("\n")[:-1]
 
 
 def render_table(report: FusionReport, precision: int = 3) -> str:
     """Two aligned rows: focal sets in bitmask order, then ∅, then sum."""
     headers, cells = _columns(report, precision)
-    widths = [max(len(h), len(c)) for h, c in zip(headers, cells)]
-    head = "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
-    body = "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+    widths = list(map(max, map(len, headers), map(len, cells)))
+    head = "  ".join(map(str.ljust, headers, widths)).rstrip()
+    body = "  ".join(map(str.ljust, cells, widths)).rstrip()
     return head + "\n" + body
 
 

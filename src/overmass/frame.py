@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -79,6 +79,14 @@ class Frame:
             bits ^= low
         return SEPARATOR.join(names) or EMPTY_SYMBOL
 
+    def _names(self, masks: Collection[int]) -> list[str]:
+        """_format_bits of each mask; by tables of names for the low 8 labels and the rest, given as many masks."""
+        labels = self.labels
+        if len(masks) < (1 << min(len(labels), 8)) + (1 << max(len(labels) - 8, 0)):
+            return [self._format_bits(b) for b in masks]
+        low, high = _name_table(labels[:8]), _name_table(labels[8:])
+        return [(low[b & 255] + high[b >> 8]).strip(SEPARATOR) or EMPTY_SYMBOL for b in masks]
+
     def empty_set(self) -> FocalSet:
         return FocalSet(self, 0)
 
@@ -145,6 +153,14 @@ class FocalSet:
     def __str__(self) -> str:
         """Textual form: member labels joined by the separator, or the empty symbol."""
         return self.frame._format_bits(self.bits)
+
+
+def _name_table(labels: Sequence[str]) -> list[str]:
+    """The name of every subset of labels by its mask, each member led by the separator."""
+    names = [""]
+    for label in labels:
+        names += [name + SEPARATOR + label for name in names]
+    return names
 
 
 def _require_same_frame(a: FocalSet, b: FocalSet) -> None:

@@ -130,6 +130,16 @@ class Weights(Mapping[FocalSet, float]):
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "bits", MappingProxyType(cleaned))
 
+    @classmethod
+    def _ascending(cls, frame: Frame, bits: dict[int, float]) -> Weights:
+        """Floats keyed in ascending order, kept as they are; by Weights() if one is not finite or ∅ holds 0."""
+        if not all(map(math.isfinite, bits.values())) or bits.get(0) == 0.0:
+            return cls(frame, bits)
+        self = cls.__new__(cls)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "bits", MappingProxyType(bits))
+        return self
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Weights is read-only")
 
@@ -153,7 +163,7 @@ class Weights(Mapping[FocalSet, float]):
         return Mapping.__eq__(self, other)
 
     def __repr__(self) -> str:
-        return "Weights(%r)" % {self.frame._format_bits(b): w for b, w in self.bits.items()}
+        return "Weights(%r)" % dict(zip(self.frame._names(self.bits), self.bits.values()))
 
 
 @dataclass(frozen=True)
@@ -301,8 +311,16 @@ def _require_query(m: MassFunction, a: FocalSet) -> None:
 def belief(m: MassFunction, a: FocalSet) -> float:
     """Total weight of nonempty focal sets contained in ``a``."""
     _require_query(m, a)
-    q = a.bits
-    return checked_fsum(w for b, w in m.weights.bits.items() if b and not b & ~q)
+    q, bits = a.bits, m.weights.bits
+    if 1 << q.bit_count() >= len(bits):
+        return checked_fsum(w for b, w in bits.items() if b and not b & ~q)
+    # Fewer subsets of a than focal sets: look each up, in ascending order as the scan meets them.
+    found, s = [], -q & q
+    while s:
+        if s in bits:
+            found.append(bits[s])
+        s = (s - q) & q
+    return checked_fsum(found)
 
 
 def plausibility(m: MassFunction, a: FocalSet) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import frexp, inf, prod
+from math import frexp, inf, ldexp, prod
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -159,7 +159,8 @@ def pcr5(m1: MassFunction, m2: MassFunction) -> FusionReport:
     then rounded once. Every conflicting product p = m1(x)*m2(y) (x
     and y disjoint) is then split back onto x and y in proportion to the
     source weights that produced it: x receives m1(x)*p/(m1(x)+m2(y)) and
-    y receives m2(y)*p/(m1(x)+m2(y)), in floats. The empty set ends at zero
+    y receives m2(y)*p/(m1(x)+m2(y)), in floats (where m1(x)*p overflows,
+    as m1(x)/(m1(x)+m2(y)) times p). The empty set ends at zero
     and the grand total is conserved. Products whose proportional
     denominator is zero are discarded and counted. The shares are the
     pcr5 redistribution of _fold_report.
@@ -183,7 +184,7 @@ def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
     s = max(0, -1021 - frexp(divisor)[1])
     scaled, unit = _rescale_divisor(num << s, den, target), 2.0 ** s
     weights = {b: w * unit / scaled for b, w in report.result.weights.bits.items()}
-    result = MassFunction(report.result.frame, Weights(report.result.frame, weights), target)
+    result = MassFunction(report.result.frame, Weights._ascending(report.result.frame, weights), target)
     return replace(report, result=result, conflict=report.conflict * unit / scaled, divisor=report.divisor * divisor)
 
 
@@ -308,6 +309,18 @@ def _scaled(m: MassFunction) -> tuple[dict[int, int], int]:
     ratios = [w.as_integer_ratio() for w in bits.values()]
     den = max([d for _, d in ratios], default=1)
     return dict(zip(bits, [n * (den // d) for n, d in ratios])), den
+
+
+def _quotients(numerators: dict[int, int], scale: int, base: int) -> dict[int, float]:
+    """Each nonempty set's n * scale / base, correctly rounded; a value beyond the float range is a ValidationError."""
+    shift = 1 - base.bit_length()
+    if scale == 1 and not base & (base - 1) and shift >= -1022:
+        # base is 2**-shift, so every nonzero n / base is normal: float(n) scaled exactly.
+        try:
+            return {b: ldexp(n, shift) for b, n in numerators.items() if b}
+        except OverflowError:  # some n beyond the float range, though its quotient may not be
+            pass
+    return {b: _quotient(n * scale, base) for b, n in numerators.items() if b}
 
 
 def _quotient(num: int, den: int) -> float:
@@ -445,7 +458,7 @@ def _fold_report(
         if k >= 1.0 - SUM_EPSILON:
             raise RuleGuardError("conflict k=%r leaves nothing to renormalize; dempster is undefined" % k)
         base, divisor, target = den - e, _quotient(den - e, den), CLASSICAL_RANGE
-    weights = {b: _quotient(n * scale, base) for b, n in numerators.items() if b}
+    weights = _quotients(numerators, scale, base)
     if rule is RuleId.CONJUNCTIVE:
         weights[0] = k
     elif rule is RuleId.PCR5:
@@ -461,8 +474,11 @@ def _fold_report(
                     skipped += 1
                     continue
                 p = w1 * w2
-                shares[x].append(w1 * p / denom)
-                shares[y].append(w2 * p / denom)
+                sx, sy = w1 * p / denom, w2 * p / denom
+                if sx == inf or sy == inf:  # w1 * p or w2 * p overflowed: scale p by a ratio of at most 1 instead
+                    sx, sy = w1 / denom * p, w2 / denom * p
+                shares[x].append(sx)
+                shares[y].append(sy)
         for b, parts in shares.items():
             weights[b] = checked_fsum([weights.get(b, 0.0), *parts])
     result = MassFunction(frame, Weights(frame, weights), target or interval_union(*(m.range for m in pool)))

@@ -46,7 +46,8 @@ def fraction_fold(masses, rule, target=None):
     elif rule is RuleId.TOTAL_PROPORTIONAL and k:
         focal = sum(w for b, w in acc.items() if b)
         if focal == 0:
-            raise RuleGuardError("no focal weight to absorb the conflict")
+            # The library names the conflict, so one beyond the float range is refused as such first.
+            raise RuleGuardError("no focal weight to absorb the conflict %r" % float(k))
         acc = {b: w * (1 + k / focal) for b, w in acc.items() if b}
     if rule is RuleId.DEMPSTER:
         mass_range = CLASSICAL_RANGE

@@ -22,14 +22,17 @@ FOLDED = (RuleId.CONJUNCTIVE, RuleId.DEMPSTER, RuleId.TOTAL_PROPORTIONAL)
 EXACT = (*FOLDED, RuleId.AVERAGE)
 # Weights as documents spell them, whose sums and products are seldom exact floats.
 DECIMALS = st.integers(min_value=1, max_value=1000).map(lambda n: n / 1000)
+# Quotients on both sides of 2**-1022, the least normal float, and numerators of 2**1024 or more.
+EDGES = st.sampled_from([2.0**-511, 2.0**-512, 1.5 * 2.0**-511, 1e300])
 
 
 @st.composite
-def source_lists(draw, rule, max_labels=6):
+def source_lists(draw, rule, max_labels=6, edges=False):
     """2 to 5 masses on one frame, some weights tiny down to the least subnormal.
 
     Zero weights except under Dempster, whose masses sum to 1 within
-    SUM_EPSILON; negative ones down to -0.2 under average alone.
+    SUM_EPSILON; negative ones down to -0.2 under average alone; with
+    edges, also weights from EDGES.
     """
     n = draw(st.integers(min_value=2, max_value=max_labels))
     frame = make_frame(LABELS[:n])
@@ -37,7 +40,8 @@ def source_lists(draw, rule, max_labels=6):
     masses = []
     for _ in range(draw(st.integers(min_value=2, max_value=5))):
         sets = draw(st.lists(st.integers(min_value=1, max_value=full), min_size=1, max_size=8, unique=True))
-        weight = st.one_of(st.floats(min_value=0.001, max_value=1.0), DECIMALS, st.sampled_from([5e-324, 2.2e-311, 1e-200]))
+        weight = st.one_of(st.floats(min_value=0.001, max_value=1.0), DECIMALS, st.sampled_from([5e-324, 2.2e-311, 1e-200]),
+                           *([EDGES] if edges else []))
         if rule is not RuleId.DEMPSTER:
             weight = st.one_of(st.just(0.0), weight)
         if rule is RuleId.AVERAGE:
@@ -52,18 +56,26 @@ def source_lists(draw, rule, max_labels=6):
 
 
 def outcome(fold):
-    """The report, or the refusal."""
+    """The report, or the refusal.
+
+    A field beyond the float range is one refusal: OverflowError from a
+    Fraction, a ValidationError saying so from the library.
+    """
     try:
         return fold()
     except RuleGuardError:
         return RuleGuardError
+    except (OverflowError, ValidationError) as exc:
+        if isinstance(exc, ValidationError) and "beyond the float range" not in str(exc):
+            raise
+        return OverflowError
 
 
 @settings(deadline=None)
 @given(st.data())
 def test_equals_the_fraction_fold_rounded_once(data):
     rule = data.draw(st.sampled_from(EXACT))
-    masses = data.draw(source_lists(rule))
+    masses = data.draw(source_lists(rule, edges=True))
     want = outcome(lambda: fraction_fold(masses, rule))
     assert outcome(lambda: combine(masses, rule, normalize=False)) == want
     if rule is RuleId.TOTAL_PROPORTIONAL:
@@ -287,25 +299,31 @@ class TestGuards:
 
 
 def overflow_document(*weights, rule):
-    sources = [{"range": [0, 1e300], "masses": {"A": w}} for w in weights]
+    """Sources on [0, 1e300], each with its weight on A, or with the masses given."""
+    sources = [{"range": [0, 1e300], "masses": w if isinstance(w, dict) else {"A": w}} for w in weights]
     return json.dumps({"frame": ["A", "B"], "sources": sources, "pipeline": {"rule": rule}})
 
 
-@pytest.mark.parametrize("rule", ["conjunctive", "total-proportional"])
+#: Per rule: sources, extra flags, and the leading cells the fused table must print.
+OVERFLOW_CASES = {
+    "conjunctive": [((1e200, 1e200, 1e-200), [], [1e200])],
+    # A grand total of 1e600 rescales onto [0, 1e300] inside one quotient.
+    "total-proportional": [((1e200, 1e200, 1e-200), [], [1e300]), ((1e200, 1e200, 1e200), [], [1e300])],
+    # A's share is 1e200 * 1e200 / (1e200 + 1): its product 1e400 overflows, the share does not.
+    "pcr5": [((1e200, {"B": 1.0}), ["--no-normalize"], [1e200, 1.0]), ((1e200, {"B": 1.0}), [], [1e300, 1e100])],
+}
+
+
+@pytest.mark.parametrize("rule", list(OVERFLOW_CASES))
 def test_intermediate_overflow_no_longer_fails(tmp_path, capsys, rule):
     # The left fold in floats overflowed at 1e200 * 1e200; the exact fold does not.
     path = tmp_path / "doc.json"
-    path.write_text(overflow_document(1e200, 1e200, 1e-200, rule=rule), encoding="utf-8")
-    assert main(["fuse", "--input", str(path), "--precision", "0"]) == 0
-    head, body = capsys.readouterr().out.splitlines()[:2]
-    assert head.split()[0] == "A"
-    assert float(body.split()[0]) == pytest.approx(1e200 if rule == "conjunctive" else 1e300, rel=1e-12)
-    if rule == "total-proportional":
-        # A grand total of 1e600 rescales onto [0, 1e300] inside one quotient.
-        path.write_text(overflow_document(1e200, 1e200, 1e200, rule=rule), encoding="utf-8")
-        assert main(["fuse", "--input", str(path), "--precision", "0"]) == 0
-        body = capsys.readouterr().out.splitlines()[1]
-        assert float(body.split()[0]) == pytest.approx(1e300, rel=1e-12)
+    for weights, flags, want in OVERFLOW_CASES[rule]:
+        path.write_text(overflow_document(*weights, rule=rule), encoding="utf-8")
+        assert main(["fuse", "--input", str(path), "--precision", "0", *flags]) == 0
+        head, body = capsys.readouterr().out.splitlines()[:2]
+        assert head.split()[:len(want)] == ["A", "B"][:len(want)]
+        assert [float(cell) for cell in body.split()[:len(want)]] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("rule, flags", [("conjunctive", []), ("total-proportional", ["--target", "0,1.5"])],

@@ -135,6 +135,13 @@ def reference_name(labels, bits):
     return "|".join(label for i, label in enumerate(labels) if bits >> i & 1) or "∅"
 
 
+def assert_names(frame, masks):
+    # Enough masks name them from the two tables, a few by walking their bits.
+    want = [reference_name(frame.labels, bits) for bits in masks]
+    assert frame._names(masks) == want
+    assert frame._names(masks[:5]) == want[:5]
+
+
 class TestFormatBits:
     def test_every_subset_of_ten_labels(self):
         frame = make_frame(["L%d" % i for i in range(10)])
@@ -142,14 +149,17 @@ class TestFormatBits:
             name = frame._format_bits(bits)
             assert name == reference_name(frame.labels, bits) == str(FocalSet(frame, bits))
             assert bits == 0 or frame._parse_bits(name) == bits
+        assert_names(frame, list(range(1 << 10)))
 
     def test_random_masks_of_sixteen_awkward_labels(self):
         frame = make_frame(AWKWARD_LABELS)
         rng = random.Random(16)
-        for bits in [0, (1 << 16) - 1] + [rng.randrange(1 << 16) for _ in range(2000)]:
+        masks = [0, (1 << 16) - 1] + [rng.randrange(1 << 16) for _ in range(2000)]
+        for bits in masks:
             name = frame._format_bits(bits)
             assert name == reference_name(AWKWARD_LABELS, bits)
             assert bits == 0 or frame._parse_bits(name) == bits
+        assert_names(frame, masks)
 
 
 class TestSetAlgebra:

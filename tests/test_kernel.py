@@ -17,13 +17,13 @@ pair, and no rule may build a TraceRecord.
 import random
 from dataclasses import fields
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fold_reference import fraction_fold
 from overmass import rules
 from overmass.errors import RuleGuardError
-from overmass.frame import FocalSet, enumerate_powerset, make_frame
+from overmass.frame import FocalSet, enumerate_powerset, make_frame, parse_focal
 from overmass.mass import (
     CLASSICAL_RANGE,
     MassFunction,
@@ -151,7 +151,19 @@ def test_pcr5_combines_as_conjunctive(pair, overlapping):
     assert pcr5(*overlapping).result.weights == conjunctive(*overlapping).result.weights
 
 
+def pair_of(*weights):
+    """Two masses on the frame [A, B] over [0, 1.5], from focal expressions and weights."""
+    frame = make_frame(["A", "B"])
+    return [MassFunction(frame, {parse_focal(k, frame): w for k, w in m.items()}, MassRange(0.0, 1.5)) for m in weights]
+
+
 @given(mass_pairs())
+# Quotients over 2**1022, at 2**-1022, and over 2**1024, below it (one rounded twice by float(n) scaled).
+@example(pair_of({"A": 2.0**-511, "B": 0.5}, {"A": 2.0**-511}))
+@example(pair_of({"A": 1.5 * 2.0**-511}, {"A": 2.0**-512, "A|B": 0.25}))
+@example(pair_of({"A": 8.568220937434891e-179}, {"A": 6.694059545176138e-131}))
+# A numerator of 2**1024 or more over a small power of two, with a finite quotient.
+@example(pair_of({"A": 1e300, "B": 0.3}, {"A": 1e-5, "A|B": 1.0}))
 def test_exact_rules_equal_the_fraction_fold_exactly(pair):
     m1, m2 = pair
     assert pairwise_products(m1, m2) == oracle_trace(m1, m2)

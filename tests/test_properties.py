@@ -6,15 +6,19 @@ a worked example; the concrete numbers live in the other test files.
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from overmass.frame import enumerate_powerset, make_frame
+from overmass.errors import ValidationError
+from overmass.frame import FocalSet, enumerate_powerset, make_frame
 from overmass.mass import (
     SUM_EPSILON,
     MassFunction,
     MassRange,
+    Weights,
+    belief,
     best_focal,
+    checked_fsum,
     interval_union,
 )
 from overmass.rules import (
@@ -223,3 +227,55 @@ def test_rescaling_commutes_with_total_proportional(pair):
     second = over_normalize(total_proportional(report), target)
     for fs in first.result.focal_sets():
         assert math.isclose(first.result[fs], second.result[fs], rel_tol=1e-9, abs_tol=1e-12)
+
+
+# Whether fsum overflows on the way depends on the order of these.
+HUGE = st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -1.7e308, 9e307])
+BELIEF_WEIGHTS = st.one_of(
+    st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-311, -1e-300]),
+    HUGE,
+)
+
+
+@st.composite
+def belief_queries(draw):
+    """A query with few or many of 2 to 10 labels; a mass, weight on ∅ allowed, with huge weights inside the query."""
+    n = draw(st.one_of(st.integers(min_value=2, max_value=4), st.integers(min_value=2, max_value=10)))
+    size = draw(st.one_of(st.integers(min_value=1, max_value=min(n, 3)), st.integers(min_value=1, max_value=n)))
+    q = sum(1 << i for i in draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size, unique=True)))
+    full = (1 << n) - 1
+    weights = {b: draw(BELIEF_WEIGHTS) for b in draw(st.lists(st.integers(0, full), min_size=1, max_size=40))}
+    inside = draw(st.lists(st.integers(0, full), max_size=8))
+    weights.update({b & q: draw(st.one_of(HUGE, BELIEF_WEIGHTS)) for b in inside})
+    frame = make_frame(["L%d" % i for i in range(n)])
+    return MassFunction(frame, Weights(frame, weights), MassRange(-1.7e308, 1.7e308)), FocalSet(frame, q)
+
+
+def scanned(m, q):
+    """The weight of every nonempty set under q, summed in ascending order: the value, or the error's type and text."""
+    try:
+        return checked_fsum(w for b, w in m.weights.bits.items() if b and not b & ~q.bits).hex()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def order_matters(first, second, third):
+    """A lookup-side query on {L0, L1}, whose three subsets' weights overflow fsum in one order and not in the other."""
+    frame = make_frame(["L0", "L1", "L2", "L3"])
+    weights = Weights(frame, {0b0001: first, 0b0010: second, 0b0011: third, 0b0100: 1.0, 0b1000: 1.0})
+    return MassFunction(frame, weights, MassRange(-1.7e308, 1.7e308)), FocalSet(frame, 0b0011)
+
+
+@settings(max_examples=300)
+@given(belief_queries())
+@example(order_matters(1e308, 1e308, -1e308))
+@example(order_matters(-1e308, 1e308, 1e308))
+def test_belief_by_subset_lookup_equals_the_scan(case):
+    # Below 2**|A| focal sets belief looks up each subset of A; the scan is the reference on either side.
+    m, a = case
+    try:
+        got = belief(m, a).hex()
+    except ValidationError as exc:
+        got = type(exc), str(exc)
+    assert got == scanned(m, a)
