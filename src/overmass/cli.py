@@ -162,42 +162,15 @@ def load_document(data: bytes | str) -> ScenarioDocument:
     return ScenarioDocument(frame, tuple(sources), pipeline)
 
 
-def render_document(doc: ScenarioDocument) -> str:
-    """Serialize a document back to JSON; load_document inverts this."""
-    pipeline: dict[str, Any] = {
-        "rule": doc.pipeline.rule.value,
-        "strict": doc.pipeline.strict,
-        "normalize": doc.pipeline.normalize,
-    }
-    if doc.pipeline.target is not None:
-        pipeline["target"] = [doc.pipeline.target.lo, doc.pipeline.target.hi]
-    payload = {
-        "frame": list(doc.frame.labels),
-        "sources": [
-            {
-                "name": s.name,
-                "range": [s.mass.range.lo, s.mass.range.hi],
-                "masses": dict(zip(s.mass.frame._names(s.mass.weights.bits), s.mass.weights.bits.values())),
-            }
-            for s in doc.sources
-        ],
-        "pipeline": pipeline,
-    }
-    return json.dumps(payload, ensure_ascii=False, indent=2)
-
-
 def run_pipeline(doc: ScenarioDocument) -> FusionReport:
     """Combine the document's two or more sources with its declared pipeline: one rules.combine call.
 
-    Normalization, when enabled, runs once on the end result; with no
-    target it rescales onto the union of every source range. Under
-    conjunctive, dempster and total-proportional no field of the report
-    depends on source order, and a vacuous source changes none.
+    Fewer sources are combine's ValidationError. Normalization, when
+    enabled, runs once on the end result; with no target it rescales onto
+    the union of every source range. Under conjunctive, dempster and
+    total-proportional no field of the report depends on source order,
+    and a vacuous source changes none.
     """
-    if len(doc.sources) < 2:
-        raise ValidationError(
-            "pipeline needs at least two sources, got %d" % len(doc.sources)
-        )
     spec = doc.pipeline
     return combine([s.mass for s in doc.sources], spec.rule, spec.target, normalize=spec.normalize)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .frame import FocalSet
 from .mass import SUM_EPSILON, MassFunction, SumClass, classify_sum
 from .rules import FusionReport
 
@@ -37,7 +36,6 @@ class Advisory:
 
     kind: AdvisoryKind
     rationale: str
-    triggering_sets: tuple[FocalSet, ...]
 
 
 def assess(m: MassFunction) -> Advisory:
@@ -51,12 +49,11 @@ def assess(m: MassFunction) -> Advisory:
     balanced means business as usual.
     """
     total = m.total
-    negatives = tuple((FocalSet(m.frame, b), w) for b, w in m.weights.bits.items() if w < 0.0)
+    negatives = {b: w for b, w in m.weights.bits.items() if w < 0.0}
     if negatives or m.range.lo < -SUM_EPSILON:
         if negatives:
-            detail = "counter-evidence: " + ", ".join(
-                "%s=%.9g" % (fs, w) for fs, w in negatives
-            )
+            named = zip(m.frame._names(negatives), negatives.values())
+            detail = "counter-evidence: " + ", ".join("%s=%.9g" % pair for pair in named)
         else:
             detail = (
                 "declared range [%g, %g] admits counter-evidence even though "
@@ -66,11 +63,7 @@ def assess(m: MassFunction) -> Advisory:
             "sum=%.9g; %s; discount or cancel the contradicted reports"
             % (total, detail)
         )
-        return Advisory(
-            AdvisoryKind.COUNTER_EVIDENCE_DISCOUNT,
-            rationale,
-            tuple(fs for fs, _ in negatives),
-        )
+        return Advisory(AdvisoryKind.COUNTER_EVIDENCE_DISCOUNT, rationale)
 
     sum_class = classify_sum(m)
     if sum_class is SumClass.SURPLUS:
@@ -78,16 +71,15 @@ def assess(m: MassFunction) -> Advisory:
             "sum=%.9g exceeds 1; independent reports reinforce the same events"
             % total
         )
-        triggering = tuple(FocalSet(m.frame, b) for b, w in m.weights.bits.items() if b and w > 0.0)
-        return Advisory(AdvisoryKind.CRITICAL_PRIORITY, rationale, triggering)
+        return Advisory(AdvisoryKind.CRITICAL_PRIORITY, rationale)
     if sum_class is SumClass.DEFICIT:
         rationale = (
             "sum=%.9g leaves %.9g unassigned; coverage is incomplete"
             % (total, 1.0 - total)
         )
-        return Advisory(AdvisoryKind.RECONNAISSANCE, rationale, m.focal_sets())
+        return Advisory(AdvisoryKind.RECONNAISSANCE, rationale)
     rationale = "sum=%.9g; weights balance to a classical assignment" % total
-    return Advisory(AdvisoryKind.NOMINAL, rationale, ())
+    return Advisory(AdvisoryKind.NOMINAL, rationale)
 
 
 def assess_fusion(report: FusionReport) -> Advisory:

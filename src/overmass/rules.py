@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import frexp, inf, ldexp, prod
+from math import inf, ldexp, prod
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -175,29 +175,34 @@ def over_normalize(report: FusionReport, target: MassRange) -> FusionReport:
     The divisor is the current grand total over the target's sum; for two
     strict sources this equals (sum m1)(sum m2)/(lo+hi). Every weight,
     the conflict field, and the empty-set bucket are divided by it, in
-    floats, it and they scaled up by one power of two if it is subnormal,
-    so it keeps its digits. The result adopts the target range. combine
-    rescales pcr5 this way; total-proportional inside its spread instead.
+    floats; below the normal range, it and they are first scaled up by a
+    power of two, so it keeps its digits. The result adopts the target
+    range. combine rescales pcr5 this way; total-proportional inside its
+    spread instead.
     """
     num, den = report.result.total.as_integer_ratio()
     divisor = _rescale_divisor(num, den, target)
-    s = max(0, -1021 - frexp(divisor)[1])
-    scaled, unit = _rescale_divisor(num << s, den, target), 2.0 ** s
-    weights = {b: w * unit / scaled for b, w in report.result.weights.bits.items()}
+    tn, td = target.total.as_integer_ratio()
+    # The exact ratio exceeds 2**(bit length of num*td - that of den*tn - 1), so 2**s lifts it to 2**-1022 or
+    # more; past 2**1023 the rest multiplies each quotient, by then at least 2**900.
+    s = max(0, (den * tn).bit_length() - (num * td).bit_length() - 1021)
+    scaled, unit, rest = _rescale_divisor(num << s, den, target), 2.0 ** min(s, 1023), 2.0 ** max(s - 1023, 0)
+    weights = {b: w * unit / scaled * rest for b, w in report.result.weights.bits.items()}
     result = MassFunction(report.result.frame, Weights._ascending(report.result.frame, weights), target)
-    return replace(report, result=result, conflict=report.conflict * unit / scaled, divisor=report.divisor * divisor)
+    return replace(report, result=result, conflict=report.conflict * unit / scaled * rest, divisor=report.divisor * divisor)
 
 
 def _rescale_divisor(num: int, den: int, target: MassRange) -> float:
-    """A grand total num/den over target's total, rounded once; a divisor outside (0, inf) is refused."""
+    """num/den over target's total, rounded once, to 0.0 if it underflows; refused if a total is not positive or it overflows."""
     if target.total <= 0.0:
         raise RuleGuardError("target range sums to %r; normalization needs a positive total" % target.total)
     tn, td = target.total.as_integer_ratio()
     try:
         divisor = num * td / (den * tn)
-    except OverflowError:
-        divisor = inf
-    if not 0.0 < divisor < inf:
+    except OverflowError:  # a grand total itself beyond the float range is _quotient's ValidationError
+        raise RuleGuardError("target total %r is too small for grand total %r: the divisor is beyond the float range"
+                             % (target.total, _quotient(num, den))) from None
+    if num <= 0:
         raise RuleGuardError("grand total %r gives normalization divisor %r, outside (0, inf)"
                              % (_quotient(num, den), divisor))
     return divisor

@@ -6,14 +6,15 @@ applies its one renormalisation (none, Dempster's division by 1 - k, or
 total-proportional's factor 1 + k/S) with the guards that can fire on
 nonnegative inputs. Given a target, total-proportional's result is then
 rescaled by T/grand, for T the target's total, with the conflict, and its
-divisor is grand/T, refused as the library refuses a rescale. Only the
-returned report is rounded, field by field. The average rule instead
-takes the mean of the sources' weights on each nonempty set, with no
-conflict, divisor 1 and the union of their ranges.
+divisor is grand/T, which may underflow; as the library does, a rescale
+is refused only for a target total or grand total that is not positive,
+or a divisor beyond the float range. Only the returned report is
+rounded, field by field. The average rule instead takes the mean of the
+sources' weights on each nonempty set, with no conflict, divisor 1 and
+the union of their ranges.
 """
 
 from fractions import Fraction
-from math import inf
 
 from overmass.errors import RuleGuardError
 from overmass.mass import CLASSICAL_RANGE, SUM_EPSILON, MassFunction, Weights, interval_union
@@ -56,10 +57,14 @@ def fraction_fold(masses, rule, target=None):
     if rule is RuleId.TOTAL_PROPORTIONAL and target is not None:
         if target.total <= 0.0:
             raise RuleGuardError("target range sums to %r; normalization needs a positive total" % target.total)
+        if grand <= 0:
+            raise RuleGuardError("grand total %r gives normalization divisor 0.0, outside (0, inf)" % float(grand))
         divisor = grand / Fraction(target.total)
-        if not 0.0 < float(divisor) < inf:
-            raise RuleGuardError("grand total %r gives normalization divisor %r, outside (0, inf)"
-                                 % (float(grand), float(divisor)))
+        try:
+            float(divisor)
+        except OverflowError:
+            # A grand total itself beyond the float range raises OverflowError here instead.
+            raise RuleGuardError("target total %r is too small for grand total %r" % (target.total, float(grand)))
         acc = {b: w / divisor for b, w in acc.items()}
         k /= divisor
         mass_range = target

@@ -71,18 +71,33 @@ def outcome(fold):
         return OverflowError
 
 
-@settings(deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_equals_the_fraction_fold_rounded_once(data):
-    rule = data.draw(st.sampled_from(EXACT))
+    rule = data.draw(st.sampled_from((*EXACT, RuleId.PCR5)))
     masses = data.draw(source_lists(rule, edges=True))
-    want = outcome(lambda: fraction_fold(masses, rule))
-    assert outcome(lambda: combine(masses, rule, normalize=False)) == want
-    if rule is RuleId.TOTAL_PROPORTIONAL:
-        # Rescaled onto the sources' range [0, 1.5] by default, or onto a given target.
-        target = data.draw(st.sampled_from([None, MassRange(-0.1, 1.3)]))
-        rescaled = outcome(lambda: fraction_fold(masses, rule, target or MassRange(0.0, 1.5)))
-        assert outcome(lambda: combine(masses, rule, target)) == rescaled
+    if rule is not RuleId.PCR5:
+        assert outcome(lambda: combine(masses, rule, normalize=False)) == outcome(lambda: fraction_fold(masses, rule))
+    if rule not in (RuleId.TOTAL_PROPORTIONAL, RuleId.PCR5):
+        return
+    # Rescaled onto the sources' range [0, 1.5] by default, and onto targets of total up to 1.7e308;
+    # a source of one tiny weight on the full set scales the grand total down to 5e-324 and below.
+    tiny = data.draw(st.sampled_from([None, 5e-324, 1e-320, 1e-300, 1e-110]))
+    if tiny:
+        frame = masses[0].frame
+        masses = [MassFunction(frame, Weights(frame, {(1 << len(frame)) - 1: tiny}), MassRange(0.0, 1.5)), *masses]
+    if rule is RuleId.PCR5:
+        try:
+            grand = combine(masses, rule, normalize=False).result.total
+        except (RuleGuardError, ValidationError):
+            return
+    for target in (None, MassRange(-0.1, 1.3), MassRange(0.0, 1.7e308)):
+        onto = target or MassRange(0.0, 1.5)
+        if rule is RuleId.TOTAL_PROPORTIONAL:
+            assert outcome(lambda: combine(masses, rule, target)) == outcome(lambda: fraction_fold(masses, rule, onto))
+        elif 0.0 < grand:
+            # pcr5 rescales its rounded weights, whose sum is grand, by one rounded divisor.
+            assert combine(masses, rule, target).result.total == pytest.approx(onto.total, rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,7 @@
 import pytest
 
-from overmass.frame import make_frame
-from overmass.mass import CLASSICAL_RANGE, MassFunction, MassRange, make_mass
+from overmass.frame import FocalSet, make_frame
+from overmass.mass import CLASSICAL_RANGE, MassFunction, MassRange, Weights, make_mass
 from overmass.regime import (
     CONFLICT_WARNING_THRESHOLD,
     AdvisoryKind,
@@ -35,7 +35,6 @@ class TestAssess:
         advisory = assess(m)
         assert advisory.kind is AdvisoryKind.CRITICAL_PRIORITY
         assert "2.7" in advisory.rationale
-        assert advisory.triggering_sets == (watch.singleton("fire"),)
 
     def test_surplus_after_averaging_stays_critical(self, watch):
         masses = [
@@ -56,7 +55,6 @@ class TestAssess:
         m = make_mass(watch, {"fire": -0.8}, MassRange(-0.8, 1))
         advisory = assess(m)
         assert advisory.kind is AdvisoryKind.COUNTER_EVIDENCE_DISCOUNT
-        assert advisory.triggering_sets == (watch.singleton("fire"),)
         assert "fire=-0.8" in advisory.rationale
         assert "sum=" in advisory.rationale
 
@@ -68,7 +66,6 @@ class TestAssess:
         assert fused.result["fire"] == pytest.approx(0.0)
         advisory = assess(fused.result)
         assert advisory.kind is AdvisoryKind.COUNTER_EVIDENCE_DISCOUNT
-        assert advisory.triggering_sets == ()
 
     def test_negative_beats_surplus(self, ab):
         m = make_mass(ab, {"A": -0.1, "B": 1.3}, MassRange(-0.1, 1.3))
@@ -79,13 +76,27 @@ class TestAssess:
         m = make_mass(ab, {"A": 0.5, "B": 0.5}, CLASSICAL_RANGE, strict=True)
         advisory = assess(m)
         assert advisory.kind is AdvisoryKind.NOMINAL
-        assert advisory.triggering_sets == ()
 
     def test_every_negative_weight_listed(self, ab):
         m = make_mass(ab, {"A": -0.2, "B": -0.05, "A|B": 0.9}, MassRange(-0.2, 1))
-        advisory = assess(m)
-        assert "A=-0.2" in advisory.rationale
-        assert "B=-0.05" in advisory.rationale
+        assert assess(m).rationale == (
+            "sum=0.65; counter-evidence: A=-0.2, B=-0.05; discount or cancel the contradicted reports"
+        )
+        # Sets named past the 8th label of a 10-label frame, in ascending bitmask order.
+        frame = make_frame(list("ABCDEFGHIJ"))
+        weights = {"I": -0.125, "A|J": -1e-12, "C|D|I|J": -0.3, "B": 2.5, "A|B|C|D|E|F|G|H|I|J": 0.25}
+        m = make_mass(frame, weights, MassRange(-0.5, 3))
+        assert assess(m).rationale == (
+            "sum=2.325; counter-evidence: I=-0.125, A|J=-1e-12, C|D|I|J=-0.3; "
+            "discount or cancel the contradicted reports"
+        )
+        # 341 negative sets, more than the 260 entries of the frame's two name tables.
+        bits = {b: -1.0 / b for b in range(1, 1024, 3)}
+        m = MassFunction(frame, Weights(frame, bits), MassRange(-8, 1))
+        listed = ", ".join("%s=%.9g" % (FocalSet(frame, b), w) for b, w in bits.items())
+        assert assess(m).rationale == (
+            "sum=%.9g; counter-evidence: %s; discount or cancel the contradicted reports" % (m.total, listed)
+        )
 
     def test_total_over_assorted_masses(self, ab):
         masses = [
