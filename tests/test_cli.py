@@ -410,6 +410,8 @@ class TestMainExitCodes:
         assert main(["fuse", "--input", path, "--format", "csv", "--precision", "17"]) == 0
         header, row = list(csv.reader(capsys.readouterr().out.splitlines()))[:2]
         assert dict(zip(header, map(float, row))) == {"A": 1e308, "B": 0.25, "∅": 0.0, "sum": 1e308}
+
+    def test_fuse_rescales_where_the_divisor_underflows(self, tmp_path, capsys):
         # A grand total of 1e-110 or 5e-324 over 1.7e308: the divisor underflows to 0.0, the rescaled
         # weight does not; below 2**-2044 the divisor takes a lift past 2**1023.
         for weight in (1e-110, 5e-324):
@@ -419,6 +421,8 @@ class TestMainExitCodes:
                 assert main(["fuse", "--input", path, "--format", "csv", "--precision", "17"]) == 0
                 header, row = list(csv.reader(capsys.readouterr().out.splitlines()))[:2]
                 assert dict(zip(header, map(float, row))) == {"A": 1.7e308, "∅": 0.0, "sum": 1.7e308}
+
+    def test_fuse_refuses_a_divisor_beyond_the_float_range(self, tmp_path, capsys):
         # A grand total of 1e300 over a target total of 2**-53: the divisor is beyond the float range.
         huge = [{"range": [0, 1.7e308], "masses": masses} for masses in ({"A": 1e300, "B": 1.0}, {"A": 1.0})]
         for rule in ("pcr5", "total-proportional"):
@@ -467,7 +471,8 @@ class TestMainExitCodes:
             assert main([*command, "--input", path]) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and "no sources" in captured.err
-        # Fusing takes at least two sources.
+
+    def test_fuse_needs_two_sources(self, tmp_path, capsys):
         for text in (NO_SOURCES, doc_text(sources=MIXED_SOURCES[:1])):
             assert main(["fuse", "--input", self.write(tmp_path, text)]) == 1
             captured = capsys.readouterr()
